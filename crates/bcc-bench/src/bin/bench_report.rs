@@ -789,23 +789,51 @@ fn check_field(baseline: &str, timing: &Timing, field: &str, measured: f64) -> R
     Ok(())
 }
 
+const USAGE: &str = "usage: bench-report [--out PATH] [--check BASELINE.json]";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Cli {
+    /// Print the usage and exit.
+    Help,
+    /// Run the report, writing it to `out` (default
+    /// `results/BENCH_evaluator.json`) and gating it against `check`.
+    Run {
+        out: Option<PathBuf>,
+        check: Option<PathBuf>,
+    },
+}
+
+/// Parses the arguments after the program name; `Err` carries the
+/// message to print above the usage.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let (mut out, mut check) = (None, None);
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "-h" | "--help" => return Ok(Cli::Help),
+            "--out" => &mut out,
+            "--check" => &mut check,
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        let path = args.next().ok_or_else(|| format!("{arg} needs a path"))?;
+        *slot = Some(PathBuf::from(path));
+    }
+    Ok(Cli::Run { out, check })
+}
+
 fn main() {
     install_panic_audit();
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = Some(PathBuf::from(args.next().expect("--out needs a path"))),
-            "--check" => {
-                check_path = Some(PathBuf::from(args.next().expect("--check needs a path")));
-            }
-            other => {
-                eprintln!("usage: bench-report [--out PATH] [--check BASELINE.json]");
-                panic!("unknown argument {other:?}");
-            }
+    let (out_path, check_path) = match parse_args(std::env::args().skip(1)) {
+        Ok(Cli::Run { out, check }) => (out, check),
+        Ok(Cli::Help) => {
+            println!("{USAGE}");
+            return;
         }
-    }
+        Err(msg) => {
+            eprintln!("bench-report: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let out_path = out_path.unwrap_or_else(|| results_dir().join("BENCH_evaluator.json"));
 
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -1176,5 +1204,53 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench check passed against {}", baseline_path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Cli};
+    use std::path::PathBuf;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn help_flags_win_wherever_they_appear() {
+        assert_eq!(parse(&["--help"]), Ok(Cli::Help));
+        assert_eq!(parse(&["-h"]), Ok(Cli::Help));
+        assert_eq!(parse(&["--out", "r.json", "--help"]), Ok(Cli::Help));
+    }
+
+    #[test]
+    fn paths_are_optional_and_parsed() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Cli::Run {
+                out: None,
+                check: None
+            })
+        );
+        assert_eq!(
+            parse(&["--check", "base.json", "--out", "r.json"]),
+            Ok(Cli::Run {
+                out: Some(PathBuf::from("r.json")),
+                check: Some(PathBuf::from("base.json")),
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        assert_eq!(
+            parse(&["--verbose"]),
+            Err("unknown argument \"--verbose\"".into())
+        );
+        assert_eq!(parse(&["--out"]), Err("--out needs a path".into()));
+        assert_eq!(
+            parse(&["--out", "r.json", "--check"]),
+            Err("--check needs a path".into())
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! Structure-of-arrays batch kernels: SIMD-ready lanes for the sweep hot
-//! path.
+//! Structure-of-arrays batch kernels: the closed-form solves, written
+//! once over a lane-op type and run four points per AVX2 instruction.
 //!
 //! # Why batches
 //!
@@ -9,33 +9,68 @@
 //! This module restates the hot queries over a [`PointBlock`] — a
 //! structure-of-arrays block of operating points with contiguous lanes
 //! for powers, gains and the seven [`LinkCaps`] capacities — and runs the
-//! enumeration as **branch-free straight-line lane code** (masked
-//! selects instead of data-dependent branches) that the autovectorizer
-//! can chew on. With the `simd` feature the same lane bodies are
-//! compiled a second time inside `#[target_feature(enable = "avx2")]`
-//! wrappers and dispatched by runtime CPU detection, widening every lane
-//! op to 4×`f64` without hand-written intrinsics.
+//! enumeration as **branch-free straight-line lane code**: masked selects
+//! instead of data-dependent branches, and every candidate ray emitted
+//! with constant indices instead of looped over a stack array.
+//!
+//! # Lane ops
+//!
+//! Every kernel body is written once, generic over a private `Lane`
+//! trait: a vector of `f64` lanes with exact IEEE-754 lanewise
+//! `+ − × ÷`, negation and `abs`, ordered compares into a lane mask, and
+//! masked select. Two types implement it:
+//!
+//! * `Portable<M>`, `M` plain `f64`s (`[f64; M]`). Width 1 serves the
+//!   scalar entry points of [`crate::kernel`] and every block's tail;
+//!   width [`LANE`] serves whole blocks on hosts without AVX2.
+//! * `simd::F64x4`, one `__m256d` register. On x86_64 every block kernel
+//!   checks `is_x86_feature_detected!("avx2")` at run time and takes
+//!   this path when the CPU has AVX2. No cargo feature is involved.
+//!
+//! The lane bodies call no `f64::min`, `max` or `clamp`. LLVM lowers
+//! those differently at different opt-levels — `(-0.0).max(0.0)` is −0.0
+//! in a debug build and +0.0 in a release build — so results would
+//! depend on the build. Each is instead one written meaning, built from
+//! compares and selects and shared by both lane types:
+//!
+//! * `x.min(y)` is `isnan(x) ? y : (y < x ? y : x)`, so a ±0 tie keeps
+//!   `x`;
+//! * `x.max(y)` is `x > y ? x : y`, called only as `max(+0.0)`, so every
+//!   zero it returns is +0.0;
+//! * a clamp to `[0, 1]` is `x < 0 ? 0 : x`, then `x > 1 ? 1 : x`.
+//!
+//! These are the meanings an optimised build gave the `f64` calls, so
+//! release-build results keep their bits.
 //!
 //! # Lane layout and the tail
 //!
 //! Blocks are processed in fixed chunks of [`LANE`] points; a block
-//! whose length is not a multiple of `LANE` finishes with a scalar tail
-//! that instantiates the *same* generic lane body at width 1. Every
-//! candidate in the enumeration is evaluated for every lane and the
-//! running best is updated by masked select, so the per-lane operation
-//! sequence is identical at any width.
+//! whose length is not a multiple of `LANE` finishes with a width-1 tail
+//! through the *same* generic lane body. Every candidate in the
+//! enumeration is evaluated for every lane and the running best is
+//! updated by masked select, so the per-lane operation sequence is
+//! identical at any width.
 //!
-//! # Determinism and the ULP contract
+//! # Determinism
 //!
-//! There is no ULP gap to document: batched results are **bit-identical**
-//! to the scalar kernel by construction. The scalar entry points in
-//! [`crate::kernel`] call the width-1 instantiation of the exact same
-//! generic lane functions, every lane op is an exact IEEE-754 operation
-//! (`mul`/`add`/`min`/`max`/`div` — no FMA contraction, no horizontal
-//! reductions), and lanes never interact. The AVX2 path performs the
-//! same lanewise operations and is therefore also bit-identical; the
-//! oracle proptests (`kernel_oracle.rs`) and the batch differential
-//! suite (`bcc/tests/batch_differential.rs`) enforce this.
+//! There is no ULP gap to document: results are **bit-identical** across
+//! the AVX2 path, the portable path, the width-1 scalar entry points and
+//! every opt-level. Every lane op is one exact IEEE-754 operation (no FMA
+//! contraction, no horizontal reductions), lanes never interact, and the
+//! `min`/`max`/clamp meanings above are spelled out instead of left to
+//! codegen. The golden suite (`bcc-core/tests/kernel_golden.rs`) pins the
+//! bits; the batch differential suite
+//! (`bcc/tests/batch_differential.rs`), the oracle proptests
+//! (`kernel_oracle.rs`) and this module's tests compare the paths.
+//!
+//! # `unsafe`
+//!
+//! All of the crate's `unsafe` lives in the private `simd` module: the
+//! AVX2 intrinsics, and the calls into its
+//! `#[target_feature(enable = "avx2")]` block bodies. An AVX2 lane value
+//! can only be built from an `Avx2` token (or from other lane values),
+//! and the token's only constructor is the runtime detection, so every
+//! intrinsic runs on a CPU that has it.
 //!
 //! # Counters
 //!
@@ -51,11 +86,13 @@ use crate::protocol::Protocol;
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_info::awgn_capacity;
 use bcc_info::gaussian::mac_sum_capacity;
+use std::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Sub};
 
 /// Lane width of the batched kernels: points per vector chunk.
 ///
-/// Four `f64` lanes fill one AVX2 register; narrower targets simply
-/// unroll, and the scalar tail instantiates the same code at width 1.
+/// Four `f64` lanes fill one AVX2 register; the portable path runs the
+/// same width as `[f64; LANE]`, and the tail runs the same code at
+/// width 1.
 pub const LANE: usize = 4;
 
 /// Default points per [`PointBlock`] when a caller does not override it
@@ -269,64 +306,455 @@ impl PointBlock {
     }
 }
 
-/// Branchless scalar select (compiles to `cmov`/vector blend; keeps the
-/// lane bodies free of data-dependent branches).
-#[inline(always)]
-fn sel(m: bool, t: f64, f: f64) -> f64 {
-    if m {
-        t
-    } else {
-        f
+// ---------------------------------------------------------------------------
+// Lane ops
+// ---------------------------------------------------------------------------
+
+/// The lane-op vocabulary every kernel body below is written in: a vector
+/// of `f64` lanes with exact IEEE-754 lanewise arithmetic, compares into a
+/// lane mask, and masked select.
+///
+/// Values are built from an `Isa` token ([`Lane::splat`], [`Lane::load`])
+/// or from other values, so holding a value proves the host can run its
+/// instructions. `min`, `max` and `neg_if` are provided methods: their
+/// bodies are the one written meaning of each op (see the module docs).
+/// An implementation may override them only with instructions that
+/// compute exactly those bits.
+trait Lane:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// Lanewise boolean mask.
+    type Mask: Copy + BitAnd<Output = Self::Mask> + BitOr<Output = Self::Mask>;
+    /// Zero-sized proof that the host can run this lane type.
+    type Isa: Copy;
+    /// Lanes per value.
+    const WIDTH: usize;
+
+    /// `x` in every lane.
+    fn splat(isa: Self::Isa, x: f64) -> Self;
+    /// The first [`Lane::WIDTH`] values of `v`.
+    fn load(isa: Self::Isa, v: &[f64]) -> Self;
+    /// Writes the lanes to `out[..WIDTH]`.
+    fn store(self, out: &mut [f64]);
+    /// Lanewise `|x|` (clears the sign bit).
+    fn abs(self) -> Self;
+    /// Lanewise ordered `x < y` (false if either is NaN).
+    fn lt(self, y: Self) -> Self::Mask;
+    /// Lanewise ordered `x <= y`.
+    fn le(self, y: Self) -> Self::Mask;
+    /// Lanewise ordered `x > y`.
+    fn gt(self, y: Self) -> Self::Mask;
+    /// Lanewise ordered `x >= y`.
+    fn ge(self, y: Self) -> Self::Mask;
+    /// Lanewise `x != x`.
+    fn is_nan(self) -> Self::Mask;
+    /// Lanewise `m ? t : f`.
+    fn select(m: Self::Mask, t: Self, f: Self) -> Self;
+
+    /// `isnan(x) ? y : (y < x ? y : x)`: a ±0 tie keeps `x`.
+    #[inline(always)]
+    fn min(self, y: Self) -> Self {
+        Self::select(self.is_nan(), y, Self::select(y.lt(self), y, self))
+    }
+
+    /// `x > y ? x : y`. The kernels call it only as `max(+0.0)`, so every
+    /// zero (and NaN) it returns is +0.0.
+    #[inline(always)]
+    fn max(self, y: Self) -> Self {
+        Self::select(self.gt(y), self, y)
+    }
+
+    /// `m ? -x : x`.
+    #[inline(always)]
+    fn neg_if(self, m: Self::Mask) -> Self {
+        Self::select(m, -self, self)
     }
 }
 
-/// Copies `M` consecutive lane values starting at `i`.
+/// `x` clamped to `[0, 1]`: `x < 0 ? 0 : x`, then `x > 1 ? 1 : x` (NaN
+/// and −0.0 pass through).
 #[inline(always)]
-fn gather<const M: usize>(v: &[f64], i: usize) -> [f64; M] {
-    let mut a = [0.0; M];
-    a.copy_from_slice(&v[i..i + M]);
+fn clamp01<L: Lane>(x: L, zero: L, one: L) -> L {
+    let x = L::select(x.lt(zero), zero, x);
+    L::select(x.gt(one), one, x)
+}
+
+/// Portable lanes: `M` plain `f64`s, every op a scalar IEEE op per lane.
+/// Width 1 serves the scalar entry points and block tails; width [`LANE`]
+/// serves whole blocks on hosts without AVX2.
+#[derive(Clone, Copy, Debug)]
+struct Portable<const M: usize>([f64; M]);
+
+/// Lane mask of [`Portable`].
+#[derive(Clone, Copy, Debug)]
+struct PortableMask<const M: usize>([bool; M]);
+
+/// Implements the lane ops of `Portable<M>` for each listed width `M`,
+/// spelled out per lane: a loop per op would put thousands of tiny loops
+/// into every kernel before LLVM gets to unroll them.
+macro_rules! portable_lanes {
+    ($($m:literal: $($l:literal)*;)*) => {$(
+        impl Add for Portable<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn add(self, y: Self) -> Self {
+                Portable([$(self.0[$l] + y.0[$l]),*])
+            }
+        }
+
+        impl Sub for Portable<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn sub(self, y: Self) -> Self {
+                Portable([$(self.0[$l] - y.0[$l]),*])
+            }
+        }
+
+        impl Mul for Portable<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn mul(self, y: Self) -> Self {
+                Portable([$(self.0[$l] * y.0[$l]),*])
+            }
+        }
+
+        impl Div for Portable<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn div(self, y: Self) -> Self {
+                Portable([$(self.0[$l] / y.0[$l]),*])
+            }
+        }
+
+        impl Neg for Portable<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn neg(self) -> Self {
+                Portable([$(-self.0[$l]),*])
+            }
+        }
+
+        impl BitAnd for PortableMask<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn bitand(self, y: Self) -> Self {
+                PortableMask([$(self.0[$l] & y.0[$l]),*])
+            }
+        }
+
+        impl BitOr for PortableMask<$m> {
+            type Output = Self;
+            #[inline(always)]
+            fn bitor(self, y: Self) -> Self {
+                PortableMask([$(self.0[$l] | y.0[$l]),*])
+            }
+        }
+
+        impl Lane for Portable<$m> {
+            type Mask = PortableMask<$m>;
+            type Isa = ();
+            const WIDTH: usize = $m;
+
+            #[inline(always)]
+            fn splat((): (), x: f64) -> Self {
+                Portable([x; $m])
+            }
+
+            #[inline(always)]
+            fn load((): (), v: &[f64]) -> Self {
+                let mut a = [0.0; $m];
+                a.copy_from_slice(&v[..$m]);
+                Portable(a)
+            }
+
+            #[inline(always)]
+            fn store(self, out: &mut [f64]) {
+                out[..$m].copy_from_slice(&self.0);
+            }
+
+            #[inline(always)]
+            fn abs(self) -> Self {
+                Portable([$(self.0[$l].abs()),*])
+            }
+
+            #[inline(always)]
+            fn lt(self, y: Self) -> Self::Mask {
+                PortableMask([$(self.0[$l] < y.0[$l]),*])
+            }
+
+            #[inline(always)]
+            fn le(self, y: Self) -> Self::Mask {
+                PortableMask([$(self.0[$l] <= y.0[$l]),*])
+            }
+
+            #[inline(always)]
+            fn gt(self, y: Self) -> Self::Mask {
+                PortableMask([$(self.0[$l] > y.0[$l]),*])
+            }
+
+            #[inline(always)]
+            fn ge(self, y: Self) -> Self::Mask {
+                PortableMask([$(self.0[$l] >= y.0[$l]),*])
+            }
+
+            #[inline(always)]
+            fn is_nan(self) -> Self::Mask {
+                PortableMask([$(self.0[$l].is_nan()),*])
+            }
+
+            #[inline(always)]
+            fn select(m: Self::Mask, t: Self, f: Self) -> Self {
+                Portable([$(if m.0[$l] { t.0[$l] } else { f.0[$l] }),*])
+            }
+        }
+    )*};
+}
+portable_lanes!(1: 0; 4: 0 1 2 3;);
+
+/// The lanes of `v` (the first `L::WIDTH` entries are live).
+#[inline(always)]
+fn lanes<L: Lane>(v: L) -> [f64; LANE] {
+    const { assert!(L::WIDTH <= LANE) };
+    let mut a = [0.0; LANE];
+    v.store(&mut a);
     a
 }
 
-/// The seven capacity lanes of one chunk.
-struct CapsLanes<const M: usize> {
-    c_a_ab: [f64; M],
-    c_b_ab: [f64; M],
-    c_a_ar: [f64; M],
-    c_b_br: [f64; M],
-    c_r_ar: [f64; M],
-    c_r_br: [f64; M],
-    c_mac: [f64; M],
+/// Per-phase duration lanes transposed to per-lane duration vectors
+/// (the first `L::WIDTH` rows are live).
+#[inline(always)]
+fn phase_lanes<L: Lane, const P: usize>(d: [L; P]) -> [[f64; P]; LANE] {
+    let mut out = [[0.0; P]; LANE];
+    for (k, x) in d.into_iter().enumerate() {
+        let x = lanes(x);
+        for l in 0..LANE {
+            out[l][k] = x[l];
+        }
+    }
+    out
 }
 
-impl<const M: usize> CapsLanes<M> {
+/// The durations of a width-1 answer.
+#[inline(always)]
+fn first_lanes<const P: usize>(d: [Portable<1>; P]) -> PhaseVec {
+    let mut out = [0.0; P];
+    for (o, x) in out.iter_mut().zip(d) {
+        *o = x.0[0];
+    }
+    PhaseVec::from(out)
+}
+
+/// The seven capacity lanes of one chunk.
+struct CapsLanes<L> {
+    c_a_ab: L,
+    c_b_ab: L,
+    c_a_ar: L,
+    c_b_br: L,
+    c_r_ar: L,
+    c_r_br: L,
+    c_mac: L,
+}
+
+impl<L: Lane> CapsLanes<L> {
     #[inline(always)]
-    fn load(b: &PointBlock, i: usize) -> Self {
+    fn load(isa: L::Isa, b: &PointBlock, i: usize) -> Self {
         CapsLanes {
-            c_a_ab: gather(&b.c_a_ab, i),
-            c_b_ab: gather(&b.c_b_ab, i),
-            c_a_ar: gather(&b.c_a_ar, i),
-            c_b_br: gather(&b.c_b_br, i),
-            c_r_ar: gather(&b.c_r_ar, i),
-            c_r_br: gather(&b.c_r_br, i),
-            c_mac: gather(&b.c_mac, i),
+            c_a_ab: L::load(isa, &b.c_a_ab[i..]),
+            c_b_ab: L::load(isa, &b.c_b_ab[i..]),
+            c_a_ar: L::load(isa, &b.c_a_ar[i..]),
+            c_b_br: L::load(isa, &b.c_b_br[i..]),
+            c_r_ar: L::load(isa, &b.c_r_ar[i..]),
+            c_r_br: L::load(isa, &b.c_r_br[i..]),
+            c_mac: L::load(isa, &b.c_mac[i..]),
         }
     }
 }
 
-impl CapsLanes<1> {
+impl CapsLanes<Portable<1>> {
     #[inline(always)]
     fn from_caps(c: &LinkCaps) -> Self {
         CapsLanes {
-            c_a_ab: [c.c_a_ab],
-            c_b_ab: [c.c_b_ab],
-            c_a_ar: [c.c_a_ar],
-            c_b_br: [c.c_b_br],
-            c_r_ar: [c.c_r_ar],
-            c_r_br: [c.c_r_br],
-            c_mac: [c.c_mac],
+            c_a_ab: Portable([c.c_a_ab]),
+            c_b_ab: Portable([c.c_b_ab]),
+            c_a_ar: Portable([c.c_a_ar]),
+            c_b_br: Portable([c.c_b_br]),
+            c_r_ar: Portable([c.c_r_ar]),
+            c_r_br: Portable([c.c_r_br]),
+            c_mac: Portable([c.c_mac]),
         }
     }
+}
+
+/// A sum-rate answer per lane: rate, `ra`, `rb` and the `P` phase
+/// durations.
+struct SumLanes<L, const P: usize> {
+    rate: L,
+    ra: L,
+    rb: L,
+    d: [L; P],
+}
+
+impl<L: Lane, const P: usize> SumLanes<L, P> {
+    /// Appends one solution per lane.
+    #[inline(always)]
+    fn push(self, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
+        let (rate, ra, rb) = (lanes(self.rate), lanes(self.ra), lanes(self.rb));
+        let d = phase_lanes(self.d);
+        for l in 0..L::WIDTH {
+            out.push(SumRateSolution {
+                protocol,
+                sum_rate: rate[l],
+                ra: ra[l],
+                rb: rb[l],
+                durations: PhaseVec::from(d[l]),
+            });
+        }
+    }
+}
+
+impl<const P: usize> SumLanes<Portable<1>, P> {
+    #[inline(always)]
+    fn one(self, protocol: Protocol) -> SumRateSolution {
+        SumRateSolution {
+            protocol,
+            sum_rate: self.rate.0[0],
+            ra: self.ra.0[0],
+            rb: self.rb.0[0],
+            durations: first_lanes(self.d),
+        }
+    }
+}
+
+/// A max–min answer per lane: the symmetric rate `t` and the `P` phase
+/// durations.
+struct MmLanes<L, const P: usize> {
+    t: L,
+    d: [L; P],
+}
+
+impl<L: Lane, const P: usize> MmLanes<L, P> {
+    /// Appends one schedule point per lane.
+    #[inline(always)]
+    fn push(self, out: &mut Vec<SchedulePoint>) {
+        let t = lanes(self.t);
+        let d = phase_lanes(self.d);
+        for l in 0..L::WIDTH {
+            out.push(SchedulePoint {
+                ra: t[l],
+                rb: t[l],
+                durations: PhaseVec::from(d[l]),
+                objective: t[l],
+            });
+        }
+    }
+}
+
+impl<const P: usize> MmLanes<Portable<1>, P> {
+    #[inline(always)]
+    fn one(self) -> SchedulePoint {
+        let t = self.t.0[0];
+        SchedulePoint {
+            ra: t,
+            rb: t,
+            durations: first_lanes(self.d),
+            objective: t,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Vertex tournaments
+// ---------------------------------------------------------------------------
+//
+// Inlining. Every lane op and helper is `inline(always)`: an AVX2
+// intrinsic inlines only into code compiled with AVX2 enabled, so the
+// whole kernel must land inside the `#[target_feature]` block functions
+// of `simd`. The lane bodies and the tournament step are marked
+// `cfg_attr(not(debug_assertions), inline(always))` instead: an
+// unoptimised build keeps a stack slot per value of every inlined copy,
+// and fully inlined, the HBC kernel alone would outgrow a thread's stack.
+
+/// Expands `$m!(i, j)` for every pair `i < j` of the listed indices in
+/// lexicographic order — a `for i { for j in i + 1.. }` loop, unrolled so
+/// every index is a constant.
+macro_rules! each_pair {
+    ($m:ident: $i:tt $($j:tt)*) => {
+        $($m!($i, $j);)*
+        each_pair!($m: $($j)*);
+    };
+    ($m:ident:) => {};
+}
+
+/// The exact objective a vertex tournament maximises, evaluated on a
+/// screened ray (non-negative, not normalised: it is homogeneous of
+/// degree 1).
+trait RayValue<const N: usize> {
+    fn value<L: Lane>(c: &CapsLanes<L>, d: &[L; N]) -> L;
+}
+
+/// Running winner of a homogeneous tournament over rays of the
+/// `N − 1`-simplex: best exact objective `f`, the winner's mass `sum`
+/// (objectives compare by cross-multiplication, so no ray is divided
+/// until the end) and the winning ray.
+struct Best<L, const N: usize> {
+    f: L,
+    sum: L,
+    d: [L; N],
+}
+
+/// Implements the tournament step for rays of each listed length,
+/// spelled out per coordinate (see `portable_lanes!` for why no loops).
+macro_rules! tournament {
+    ($($n:literal: $first:literal $($rest:literal)*;)*) => {$(
+        impl<L: Lane> Best<L, $n> {
+            /// Offers one candidate ray per lane: sign-normalise it,
+            /// screen it for simplex membership, evaluate `V` on its
+            /// clamped coordinates and keep it where it strictly beats
+            /// the current best — all by masked select, so the
+            /// first-found maximum wins ties.
+            #[cfg_attr(not(debug_assertions), inline(always))]
+            fn consider<V: RayValue<$n>>(&mut self, isa: L::Isa, c: &CapsLanes<L>, ray: [L; $n]) {
+                let z = L::splat(isa, 0.0);
+                let sum = ray[$first] $(+ ray[$rest])*;
+                let neg = sum.lt(z);
+                let d = [ray[$first].neg_if(neg) $(, ray[$rest].neg_if(neg))*];
+                let sum = sum.neg_if(neg);
+                let norm = d[$first].abs() $(+ d[$rest].abs())*;
+                let tol = L::splat(isa, 1e-9) * sum;
+                let ok = sum.gt(L::splat(isa, 1e-12) * norm) & d[$first].ge(-tol) $(& d[$rest].ge(-tol))*;
+                let d = [d[$first].max(z) $(, d[$rest].max(z))*];
+                let f = V::value(c, &d);
+                let m = ok & (f * self.sum).gt(self.f * sum);
+                self.f = L::select(m, f, self.f);
+                self.sum = L::select(m, sum, self.sum);
+                self.d = [L::select(m, d[$first], self.d[$first]) $(, L::select(m, d[$rest], self.d[$rest]))*];
+            }
+
+            /// The winning ray scaled onto the simplex.
+            #[inline(always)]
+            fn point(&self, isa: L::Isa) -> [L; $n] {
+                let inv = L::splat(isa, 1.0) / self.sum;
+                [self.d[$first] * inv $(, self.d[$rest] * inv)*]
+            }
+        }
+    )*};
+}
+tournament!(3: 0 1 2; 4: 0 1 2 3;);
+
+/// The ray where two planes through the origin of 3-space meet: their
+/// cross product.
+#[inline(always)]
+fn cross3<L: Lane>(a: &[L; 3], b: &[L; 3]) -> [L; 3] {
+    [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -334,26 +762,27 @@ impl CapsLanes<1> {
 // ---------------------------------------------------------------------------
 
 /// DT sum rate: the objective is linear in the split, so all time goes
-/// to the stronger direction. Returns `(rate, ra, rb, Δ₁)`.
-#[inline(always)]
-fn dt_sum_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M], [f64; M], [f64; M]) {
-    let (mut rate, mut ra, mut rb, mut d0) = ([0.0; M], [0.0; M], [0.0; M], [0.0; M]);
-    for l in 0..M {
-        let (ca, cb) = (c.c_a_ab[l], c.c_b_ab[l]);
-        let m = ca >= cb;
-        rate[l] = sel(m, ca, cb);
-        ra[l] = sel(m, ca, 0.0);
-        rb[l] = sel(m, 0.0, cb);
-        d0[l] = sel(m, 1.0, 0.0);
+/// to the stronger direction.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn dt_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 2> {
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    let (ca, cb) = (c.c_a_ab, c.c_b_ab);
+    let m = ca.ge(cb);
+    let d0 = L::select(m, one, z);
+    SumLanes {
+        rate: L::select(m, ca, cb),
+        ra: L::select(m, ca, z),
+        rb: L::select(m, z, cb),
+        d: [d0, one - d0],
     }
-    (rate, ra, rb, d0)
 }
 
 /// The exact MABC sum-rate profile `f(Δ) = min(mA(Δ) + mB(Δ), Δ·s)` with
 /// `mX(Δ) = min(Δ·x₁, (1−Δ)·x₂)`.
 #[inline(always)]
-fn mabc_f(d: f64, a1: f64, a2: f64, b1: f64, b2: f64, s: f64) -> f64 {
-    let g = (d * a1).min((1.0 - d) * a2) + (d * b1).min((1.0 - d) * b2);
+fn mabc_f<L: Lane>(one: L, d: L, a1: L, a2: L, b1: L, b2: L, s: L) -> L {
+    let e = one - d;
+    let g = (d * a1).min(e * a2) + (d * b1).min(e * b2);
     g.min(d * s)
 }
 
@@ -364,487 +793,397 @@ fn mabc_f(d: f64, a1: f64, a2: f64, b1: f64, b2: f64, s: f64) -> f64 {
 /// `Δ·a₁ + Δ·b₁` crosses at Δ = 0, already an endpoint). Degenerate
 /// candidates (0/0 → NaN) never win a strict comparison, and candidates
 /// clamped into `[0, 1]` re-evaluate an endpoint exactly, so extras are
-/// harmless. Returns `(rate, ra, rb, Δ₁)`.
+/// harmless.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn mabc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 2> {
+    let (a1, a2) = (c.c_a_ar, c.c_r_br);
+    let (b1, b2) = (c.c_b_br, c.c_r_ar);
+    let s = c.c_mac;
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    let mut bd = z;
+    let mut bf = mabc_f(one, z, a1, a2, b1, b2, s);
+    macro_rules! offer {
+        ($d:expr) => {
+            let d = clamp01($d, z, one);
+            let v = mabc_f(one, d, a1, a2, b1, b2, s);
+            let m = v.gt(bf);
+            bd = L::select(m, d, bd);
+            bf = L::select(m, v, bf);
+        };
+    }
+    offer!(one);
+    offer!(a2 / (a1 + a2));
+    offer!(b2 / (b1 + b2));
+    offer!(b2 / (s - a1 + b2));
+    offer!(a2 / (s - b1 + a2));
+    offer!((a2 + b2) / (s + a2 + b2));
+    let e = one - bd;
+    let ra0 = (bd * a1).min(e * a2);
+    let rb0 = (bd * b1).min(e * b2);
+    let cap = bd * s;
+    // When the MAC sum row binds, keep R_b at its individual cap and
+    // give R_a the remainder (deterministic feasible split).
+    let over = (ra0 + rb0).gt(cap);
+    let rbx = rb0.min(cap);
+    SumLanes {
+        rate: bf,
+        ra: L::select(over, cap - rbx, ra0),
+        rb: L::select(over, rbx, rb0),
+        d: [bd, one - bd],
+    }
+}
+
+/// TDBC's two rate terms `min(α·Δ₁, β·Δ₁ + γ·Δ₃)` and
+/// `min(δ·Δ₂, ε·Δ₂ + ζ·Δ₃)`.
 #[inline(always)]
-fn mabc_sum_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M], [f64; M], [f64; M]) {
-    let (a1, a2) = (&c.c_a_ar, &c.c_r_br);
-    let (b1, b2) = (&c.c_b_br, &c.c_r_ar);
-    let s = &c.c_mac;
-    let mut bd = [0.0; M];
-    let mut bf = [0.0; M];
-    for l in 0..M {
-        bf[l] = mabc_f(0.0, a1[l], a2[l], b1[l], b2[l], s[l]);
+fn tdbc_terms<L: Lane>(c: &CapsLanes<L>, d: &[L; 3]) -> (L, L) {
+    let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+    let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+    let u = (alpha * d[0]).min(beta * d[0] + gamma * d[2]);
+    let v = (delta * d[1]).min(eps * d[1] + zeta * d[2]);
+    (u, v)
+}
+
+/// TDBC sum rate `u + v`.
+struct TdbcSum;
+
+impl RayValue<3> for TdbcSum {
+    #[inline(always)]
+    fn value<L: Lane>(c: &CapsLanes<L>, d: &[L; 3]) -> L {
+        let (u, v) = tdbc_terms(c, d);
+        u + v
     }
-    for cand in 1..7 {
-        for l in 0..M {
-            let d = match cand {
-                1 => 1.0,
-                2 => a2[l] / (a1[l] + a2[l]),
-                3 => b2[l] / (b1[l] + b2[l]),
-                4 => b2[l] / (s[l] - a1[l] + b2[l]),
-                5 => a2[l] / (s[l] - b1[l] + a2[l]),
-                _ => (a2[l] + b2[l]) / (s[l] + a2[l] + b2[l]),
-            }
-            .clamp(0.0, 1.0);
-            let v = mabc_f(d, a1[l], a2[l], b1[l], b2[l], s[l]);
-            let m = v > bf[l];
-            bd[l] = sel(m, d, bd[l]);
-            bf[l] = sel(m, v, bf[l]);
-        }
-    }
-    let (mut ra, mut rb) = ([0.0; M], [0.0; M]);
-    for l in 0..M {
-        let d = bd[l];
-        let ra0 = (d * a1[l]).min((1.0 - d) * a2[l]);
-        let rb0 = (d * b1[l]).min((1.0 - d) * b2[l]);
-        let cap = d * s[l];
-        // When the MAC sum row binds, keep R_b at its individual cap and
-        // give R_a the remainder (deterministic feasible split).
-        let over = ra0 + rb0 > cap;
-        let rbx = rb0.min(cap);
-        ra[l] = sel(over, cap - rbx, ra0);
-        rb[l] = sel(over, rbx, rb0);
-    }
-    (bf, ra, rb, bd)
 }
 
 /// TDBC sum rate by vertex enumeration over the 2-simplex (see
 /// `crate::kernel`'s module docs): a division-free homogeneous
-/// tournament over the ≤ 10 pairwise intersections of the three facets
-/// and the two `min`-kink planes. Returns `(rate, ra, rb, Δ)`.
-#[inline(always)]
-fn tdbc_sum_lanes<const M: usize>(
-    c: &CapsLanes<M>,
-) -> ([f64; M], [f64; M], [f64; M], [[f64; M]; 3]) {
-    let (alpha, beta, gamma) = (&c.c_a_ar, &c.c_a_ab, &c.c_r_br);
-    let (delta, eps, zeta) = (&c.c_b_br, &c.c_b_ab, &c.c_r_ar);
-    let mut planes = [[[0.0; M]; 3]; 5];
-    for l in 0..M {
-        planes[0][0][l] = 1.0; // Δ₁ = 0
-        planes[1][1][l] = 1.0; // Δ₂ = 0
-        planes[2][2][l] = 1.0; // Δ₃ = 0
-        planes[3][0][l] = alpha[l] - beta[l]; // α·Δ₁ = β·Δ₁ + γ·Δ₃
-        planes[3][2][l] = -gamma[l];
-        planes[4][1][l] = delta[l] - eps[l]; // δ·Δ₂ = ε·Δ₂ + ζ·Δ₃
-        planes[4][2][l] = -zeta[l];
-    }
-    let mut bf = [0.0; M];
-    let mut bs = [1.0; M];
-    let mut bd = [[0.0; M], [0.0; M], [1.0; M]];
-    for i in 0..5 {
-        for j in i + 1..5 {
-            let (a, b) = (&planes[i], &planes[j]);
-            for l in 0..M {
-                // The two planes meet the simplex plane along their
-                // cross product's ray.
-                let mut d0 = a[1][l] * b[2][l] - a[2][l] * b[1][l];
-                let mut d1 = a[2][l] * b[0][l] - a[0][l] * b[2][l];
-                let mut d2 = a[0][l] * b[1][l] - a[1][l] * b[0][l];
-                let mut sum = d0 + d1 + d2;
-                let neg = sum < 0.0;
-                d0 = sel(neg, -d0, d0);
-                d1 = sel(neg, -d1, d1);
-                d2 = sel(neg, -d2, d2);
-                sum = sel(neg, -sum, sum);
-                let norm = d0.abs() + d1.abs() + d2.abs();
-                let tol = 1e-9 * sum;
-                let ok = (sum > 1e-12 * norm) & (d0 >= -tol) & (d1 >= -tol) & (d2 >= -tol);
-                let d0 = d0.max(0.0);
-                let d1 = d1.max(0.0);
-                let d2 = d2.max(0.0);
-                let u = (alpha[l] * d0).min(beta[l] * d0 + gamma[l] * d2);
-                let v = (delta[l] * d1).min(eps[l] * d1 + zeta[l] * d2);
-                let f = u + v;
-                let m = ok & (f * bs[l] > bf[l] * sum);
-                bf[l] = sel(m, f, bf[l]);
-                bs[l] = sel(m, sum, bs[l]);
-                bd[0][l] = sel(m, d0, bd[0][l]);
-                bd[1][l] = sel(m, d1, bd[1][l]);
-                bd[2][l] = sel(m, d2, bd[2][l]);
-            }
-        }
-    }
-    let (mut rate, mut ra, mut rb, mut d) = ([0.0; M], [0.0; M], [0.0; M], [[0.0; M]; 3]);
-    for l in 0..M {
-        let inv = 1.0 / bs[l];
-        let (d0, d1, d2) = (bd[0][l] * inv, bd[1][l] * inv, bd[2][l] * inv);
-        let uu = ((alpha[l] * d0).min(beta[l] * d0 + gamma[l] * d2)).max(0.0);
-        let vv = ((delta[l] * d1).min(eps[l] * d1 + zeta[l] * d2)).max(0.0);
-        rate[l] = uu + vv;
-        ra[l] = uu;
-        rb[l] = vv;
-        d[0][l] = d0;
-        d[1][l] = d1;
-        d[2][l] = d2;
-    }
-    (rate, ra, rb, d)
-}
-
-/// HBC coefficient lanes (the Theorem-5 inner structure).
-struct HbcCoef<const M: usize> {
-    a1: [f64; M],
-    a2: [f64; M],
-    a3: [f64; M],
-    b1: [f64; M],
-    b2: [f64; M],
-    b3: [f64; M],
-    s: [f64; M],
-}
-
-/// HBC tournament state: best exact value, best ray mass, best ray.
-struct HbcBest<const M: usize> {
-    f: [f64; M],
-    sum: [f64; M],
-    d: [[f64; M]; 4],
-}
-
-/// One candidate ray per lane through the HBC homogeneous tournament:
-/// sign-normalise, screen for simplex membership, evaluate the exact
-/// `F = min(u + v, w)` and keep the cross-multiplied winner — all by
-/// masked select, no data-dependent branches.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)] // `l` is the lane index across d/co/best
-fn hbc_consider<const M: usize>(d: &[[f64; M]; 4], co: &HbcCoef<M>, best: &mut HbcBest<M>) {
-    for l in 0..M {
-        let (mut d0, mut d1, mut d2, mut d3) = (d[0][l], d[1][l], d[2][l], d[3][l]);
-        let mut sum = d0 + d1 + d2 + d3;
-        let neg = sum < 0.0;
-        d0 = sel(neg, -d0, d0);
-        d1 = sel(neg, -d1, d1);
-        d2 = sel(neg, -d2, d2);
-        d3 = sel(neg, -d3, d3);
-        sum = sel(neg, -sum, sum);
-        let norm = d0.abs() + d1.abs() + d2.abs() + d3.abs();
-        let tol = 1e-9 * sum;
-        let ok = (sum > 1e-12 * norm) & (d0 >= -tol) & (d1 >= -tol) & (d2 >= -tol) & (d3 >= -tol);
-        let d0 = d0.max(0.0);
-        let d1 = d1.max(0.0);
-        let d2 = d2.max(0.0);
-        let d3 = d3.max(0.0);
-        let u = (co.a1[l] * (d0 + d2)).min(co.a2[l] * d0 + co.a3[l] * d3);
-        let v = (co.b1[l] * (d1 + d2)).min(co.b2[l] * d1 + co.b3[l] * d3);
-        let w = co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2;
-        let f = (u + v).min(w);
-        let m = ok & (f * best.sum[l] > best.f[l] * sum);
-        best.f[l] = sel(m, f, best.f[l]);
-        best.sum[l] = sel(m, sum, best.sum[l]);
-        best.d[0][l] = sel(m, d0, best.d[0][l]);
-        best.d[1][l] = sel(m, d1, best.d[1][l]);
-        best.d[2][l] = sel(m, d2, best.d[2][l]);
-        best.d[3][l] = sel(m, d3, best.d[3][l]);
-    }
-}
-
-/// Lanewise generalised cross product of three 4-d rows (null-space
-/// direction by cofactor expansion).
-#[inline(always)]
-fn null4_lanes<const M: usize>(
-    p: &[[f64; M]; 4],
-    q: &[[f64; M]; 4],
-    r: &[[f64; M]; 4],
-) -> [[f64; M]; 4] {
-    let mut out = [[0.0; M]; 4];
-    for l in 0..M {
-        let det = |i: usize, j: usize, k: usize| {
-            p[i][l] * (q[j][l] * r[k][l] - q[k][l] * r[j][l])
-                - p[j][l] * (q[i][l] * r[k][l] - q[k][l] * r[i][l])
-                + p[k][l] * (q[i][l] * r[j][l] - q[j][l] * r[i][l])
+/// tournament over the 10 pairwise intersections of the three facets
+/// and the two `min`-kink planes.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn tdbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 3> {
+    let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+    let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    let planes = [
+        [one, z, z],               // Δ₁ = 0
+        [z, one, z],               // Δ₂ = 0
+        [z, z, one],               // Δ₃ = 0
+        [alpha - beta, z, -gamma], // α·Δ₁ = β·Δ₁ + γ·Δ₃
+        [z, delta - eps, -zeta],   // δ·Δ₂ = ε·Δ₂ + ζ·Δ₃
+    ];
+    let mut best = Best {
+        f: z,
+        sum: one,
+        d: [z, z, one],
+    };
+    macro_rules! pair {
+        ($i:tt, $j:tt) => {
+            best.consider::<TdbcSum>(isa, c, cross3(&planes[$i], &planes[$j]))
         };
-        out[0][l] = det(1, 2, 3);
-        out[1][l] = -det(0, 2, 3);
-        out[2][l] = det(0, 1, 3);
-        out[3][l] = -det(0, 1, 2);
     }
-    out
+    each_pair!(pair: 0 1 2 3 4);
+    let d = best.point(isa);
+    let (u, v) = tdbc_terms(c, &d);
+    let (u, v) = (u.max(z), v.max(z));
+    SumLanes {
+        rate: u + v,
+        ra: u,
+        rb: v,
+        d,
+    }
+}
+
+/// HBC's three rate terms at `Δ` (Theorem 5): the two direct-plus-relay
+/// terms `u`, `v` and the MAC sum term `w`.
+#[inline(always)]
+fn hbc_terms<L: Lane>(c: &CapsLanes<L>, d: &[L; 4]) -> (L, L, L) {
+    let (a1, a2, a3) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+    let (b1, b2, b3) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+    let s = c.c_mac;
+    let [d0, d1, d2, d3] = *d;
+    let u = (a1 * (d0 + d2)).min(a2 * d0 + a3 * d3);
+    let v = (b1 * (d1 + d2)).min(b2 * d1 + b3 * d3);
+    let w = a1 * d0 + b1 * d1 + s * d2;
+    (u, v, w)
+}
+
+/// HBC sum rate `F = min(u + v, w)`.
+struct HbcSum;
+
+impl RayValue<4> for HbcSum {
+    #[inline(always)]
+    fn value<L: Lane>(c: &CapsLanes<L>, d: &[L; 4]) -> L {
+        let (u, v, w) = hbc_terms(c, d);
+        (u + v).min(w)
+    }
+}
+
+/// The ray where simplex edge `span{e_I, e_J}` meets plane `n`:
+/// `n_J·e_I − n_I·e_J` (the other two coordinates are +0).
+#[inline(always)]
+fn edge_ray<L: Lane, const I: usize, const J: usize>(n: &[L; 4], z: L) -> [L; 4] {
+    let mut d = [z; 4];
+    d[I] = n[J];
+    d[J] = -n[I];
+    d
+}
+
+/// The coordinates of the 3-simplex other than `f`, in order.
+const fn facet_rest(f: usize) -> [usize; 3] {
+    match f {
+        0 => [1, 2, 3],
+        1 => [0, 2, 3],
+        2 => [0, 1, 3],
+        _ => [0, 1, 2],
+    }
+}
+
+/// The ray where facet `Δ_F = 0` meets planes `p` and `q`: their cross
+/// product over the other three coordinates (coordinate `F` is +0).
+#[inline(always)]
+fn facet_ray<L: Lane, const F: usize>(p: &[L; 4], q: &[L; 4], z: L) -> [L; 4] {
+    let [r0, r1, r2] = const { facet_rest(F) };
+    let c = cross3(&[p[r0], p[r1], p[r2]], &[q[r0], q[r1], q[r2]]);
+    let mut d = [z; 4];
+    d[r0] = c[0];
+    d[r1] = c[1];
+    d[r2] = c[2];
+    d
+}
+
+/// The 3×3 minor of rows `p`, `q`, `r` on columns `i`, `j`, `k`
+/// (cofactor expansion along `p`).
+#[inline(always)]
+fn det3<L: Lane>(p: &[L; 4], q: &[L; 4], r: &[L; 4], i: usize, j: usize, k: usize) -> L {
+    p[i] * (q[j] * r[k] - q[k] * r[j]) - p[j] * (q[i] * r[k] - q[k] * r[i])
+        + p[k] * (q[i] * r[j] - q[j] * r[i])
+}
+
+/// The ray where three planes through the origin of 4-space meet: the
+/// generalised cross product of their normals.
+#[inline(always)]
+fn null4<L: Lane>(p: &[L; 4], q: &[L; 4], r: &[L; 4]) -> [L; 4] {
+    [
+        det3(p, q, r, 1, 2, 3),
+        -det3(p, q, r, 0, 2, 3),
+        det3(p, q, r, 0, 1, 3),
+        -det3(p, q, r, 0, 1, 2),
+    ]
 }
 
 /// HBC sum rate by vertex enumeration over the 3-simplex (see
-/// `crate::kernel`'s module docs for the geometry): ≤ 65 candidate rays
-/// — corners, edge ∩ kink plane, facet ∩ plane pair, interior triples —
-/// through the division-free homogeneous tournament. Returns
-/// `(rate, ra, rb, Δ)`.
-#[inline(always)]
-fn hbc_sum_lanes<const M: usize>(
-    c: &CapsLanes<M>,
-) -> ([f64; M], [f64; M], [f64; M], [[f64; M]; 4]) {
-    let mut co = HbcCoef {
-        a1: [0.0; M],
-        a2: [0.0; M],
-        a3: [0.0; M],
-        b1: [0.0; M],
-        b2: [0.0; M],
-        b3: [0.0; M],
-        s: [0.0; M],
-    };
-    for l in 0..M {
-        co.a1[l] = c.c_a_ar[l];
-        co.a2[l] = c.c_a_ab[l];
-        co.a3[l] = c.c_r_br[l];
-        co.b1[l] = c.c_b_br[l];
-        co.b2[l] = c.c_b_ab[l];
-        co.b3[l] = c.c_r_ar[l];
-        co.s[l] = c.c_mac[l];
-    }
+/// `crate::kernel`'s module docs for the geometry): 61 candidate rays —
+/// corners, edge ∩ kink plane, facet ∩ plane pair, interior triples —
+/// through the division-free homogeneous tournament. Every ray is
+/// emitted with constant indices, so the tournament is straight-line
+/// lane code.
+///
+/// The full enumeration has 65 rays; four of them can never win, so
+/// they are not emitted (the result bits are those of all 65):
+///
+/// * Corners `e₂` and `e₃` evaluate to `F = +0` when the capacities are
+///   finite (`u = min(a₁, +0) = +0` and `v = min(b₁, +0) = +0` at `e₂`;
+///   `u`, `v` and `w` are all `+0` at `e₃`). A ray wins only by strictly
+///   beating the running best, which starts at `F = 0` and never
+///   decreases, so neither can win. (A capacity is infinite only if a
+///   power–gain product overflows `f64`.)
+/// * On facet `Δ₃ = 0`, K₁ and T₂₁ restrict to the exactly opposite
+///   vectors `(a₁−a₂, 0, −a₃)` and `(a₂−a₁, 0, a₃)` — IEEE subtraction
+///   and negation are sign-symmetric — and likewise K₂ and T₁₂ restrict
+///   to `(0, b₁−b₂, −b₃)` and `(0, b₂−b₁, b₃)`. The cross product of
+///   exactly opposite vectors is exactly zero when the entries are
+///   finite, and has a NaN entry otherwise (`0·∞` or `∞ − ∞`). Either
+///   way the mass screen `sum > 1e-12·norm` rejects the ray.
+///
+/// Every other symbolic duplicate stays: the three interior
+/// K₁∩K₂∩T rays equal the facet-`Δ₃` K₁×K₂ ray up to scale, and sixteen
+/// edge or facet rays repeat corners `e₀` or `e₁`, but a later duplicate
+/// can still win by one rounding and so change the duration bits.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn hbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 4> {
+    let (a1, a2, a3) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+    let (b1, b2, b3) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+    let s = c.c_mac;
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
     // The five kink planes: the two `min` kinks K₁, K₂ and the three
     // admissible `u + v = w` tie planes (T₁₁ degenerates to Δ₃ = 0).
-    let mut kinks = [[[0.0; M]; 4]; 5];
-    #[allow(clippy::needless_range_loop)] // `l` is the lane index across kinks/co
-    for l in 0..M {
-        kinks[0][0][l] = co.a1[l] - co.a2[l]; // K₁
-        kinks[0][2][l] = co.a1[l];
-        kinks[0][3][l] = -co.a3[l];
-        kinks[1][1][l] = co.b1[l] - co.b2[l]; // K₂
-        kinks[1][2][l] = co.b1[l];
-        kinks[1][3][l] = -co.b3[l];
-        kinks[2][1][l] = co.b2[l] - co.b1[l]; // T₁₂
-        kinks[2][2][l] = co.a1[l] - co.s[l];
-        kinks[2][3][l] = co.b3[l];
-        kinks[3][0][l] = co.a2[l] - co.a1[l]; // T₂₁
-        kinks[3][2][l] = co.b1[l] - co.s[l];
-        kinks[3][3][l] = co.a3[l];
-        kinks[4][0][l] = co.a2[l] - co.a1[l]; // T₂₂
-        kinks[4][1][l] = co.b2[l] - co.b1[l];
-        kinks[4][2][l] = -co.s[l];
-        kinks[4][3][l] = co.a3[l] + co.b3[l];
-    }
-    let mut best = HbcBest {
-        f: [0.0; M],
-        sum: [1.0; M],
-        d: [[0.0; M], [0.0; M], [0.0; M], [1.0; M]],
+    let k1 = [a1 - a2, z, a1, -a3];
+    let k2 = [z, b1 - b2, b1, -b3];
+    let t12 = [z, b2 - b1, a1 - s, b3];
+    let t21 = [a2 - a1, z, b1 - s, a3];
+    let t22 = [a2 - a1, b2 - b1, -s, a3 + b3];
+    let mut best = Best {
+        f: z,
+        sum: one,
+        d: [z, z, z, one],
     };
-    // Corners of the simplex (three facets).
-    for corner in 0..4 {
-        let mut d = [[0.0; M]; 4];
-        d[corner] = [1.0; M];
-        hbc_consider(&d, &co, &mut best);
-    }
-    // Simplex edges (two facets) crossed with one kink plane: on the
-    // edge span{eᵢ, eⱼ}, the ray `n_j·eᵢ − n_i·eⱼ` solves `n·d = 0`.
-    for i in 0..4 {
-        for j in i + 1..4 {
-            for kink in &kinks {
-                let mut d = [[0.0; M]; 4];
-                for l in 0..M {
-                    d[i][l] = kink[j][l];
-                    d[j][l] = -kink[i][l];
-                }
-                hbc_consider(&d, &co, &mut best);
-            }
-        }
-    }
-    // One facet crossed with two kink planes (skipping tie-plane pairs:
-    // no linearity region is bounded by two tie planes at once).
-    for fct in 0..4 {
-        let rest = match fct {
-            0 => [1, 2, 3],
-            1 => [0, 2, 3],
-            2 => [0, 1, 3],
-            _ => [0, 1, 2],
+    macro_rules! offer {
+        ($ray:expr) => {
+            best.consider::<HbcSum>(isa, c, $ray)
         };
-        for p in 0..5 {
-            for q in p + 1..5 {
-                if p >= 2 && q >= 2 {
-                    continue; // two tie planes
-                }
-                let mut d = [[0.0; M]; 4];
-                for l in 0..M {
-                    let a0 = kinks[p][rest[0]][l];
-                    let a1 = kinks[p][rest[1]][l];
-                    let a2 = kinks[p][rest[2]][l];
-                    let b0 = kinks[q][rest[0]][l];
-                    let b1 = kinks[q][rest[1]][l];
-                    let b2 = kinks[q][rest[2]][l];
-                    d[rest[0]][l] = a1 * b2 - a2 * b1;
-                    d[rest[1]][l] = a2 * b0 - a0 * b2;
-                    d[rest[2]][l] = a0 * b1 - a1 * b0;
-                }
-                hbc_consider(&d, &co, &mut best);
-            }
-        }
     }
+    // Corners of the simplex (three facets); e₂ and e₃ never win.
+    offer!([one, z, z, z]);
+    offer!([z, one, z, z]);
+    // Simplex edges (two facets) crossed with one kink plane.
+    macro_rules! edge {
+        ($i:tt, $j:tt) => {
+            offer!(edge_ray::<L, $i, $j>(&k1, z));
+            offer!(edge_ray::<L, $i, $j>(&k2, z));
+            offer!(edge_ray::<L, $i, $j>(&t12, z));
+            offer!(edge_ray::<L, $i, $j>(&t21, z));
+            offer!(edge_ray::<L, $i, $j>(&t22, z));
+        };
+    }
+    each_pair!(edge: 0 1 2 3);
+    // One facet crossed with two kink planes, skipping tie-plane pairs:
+    // no linearity region is bounded by two tie planes at once.
+    macro_rules! facet {
+        ($f:tt: $(($p:ident, $q:ident))*) => {
+            $(offer!(facet_ray::<L, $f>(&$p, &$q, z));)*
+        };
+    }
+    facet!(0: (k1, k2) (k1, t12) (k1, t21) (k1, t22) (k2, t12) (k2, t21) (k2, t22));
+    facet!(1: (k1, k2) (k1, t12) (k1, t21) (k1, t22) (k2, t12) (k2, t21) (k2, t22));
+    // K₁×T₂₁ and K₂×T₁₂ vanish on this facet.
+    facet!(2: (k1, k2) (k1, t12) (k1, t22) (k2, t21) (k2, t22));
+    facet!(3: (k1, k2) (k1, t12) (k1, t21) (k1, t22) (k2, t12) (k2, t21) (k2, t22));
     // Interior vertices: K₁ ∩ K₂ ∩ one tie plane.
-    for t in 2..5 {
-        let d = null4_lanes(&kinks[0], &kinks[1], &kinks[t]);
-        hbc_consider(&d, &co, &mut best);
+    offer!(null4(&k1, &k2, &t12));
+    offer!(null4(&k1, &k2, &t21));
+    offer!(null4(&k1, &k2, &t22));
+    // Recompute the exact operating point at the normalised winner.
+    let d = best.point(isa);
+    let (u, v, w) = hbc_terms(c, &d);
+    // When the sum row binds, keep R_b at its individual cap and give
+    // R_a the remainder (the MABC kernel's convention).
+    let direct = (u + v).le(w);
+    let rbx = v.min(w);
+    SumLanes {
+        rate: (u + v).min(w),
+        ra: L::select(direct, u, w - rbx),
+        rb: L::select(direct, v, rbx),
+        d,
     }
-    // Normalise the winning ray and recompute the exact operating point.
-    let (mut rate, mut ra, mut rb, mut d) = ([0.0; M], [0.0; M], [0.0; M], [[0.0; M]; 4]);
-    for l in 0..M {
-        let inv = 1.0 / best.sum[l];
-        let (d0, d1, d2, d3) = (
-            best.d[0][l] * inv,
-            best.d[1][l] * inv,
-            best.d[2][l] * inv,
-            best.d[3][l] * inv,
-        );
-        let u = (co.a1[l] * (d0 + d2)).min(co.a2[l] * d0 + co.a3[l] * d3);
-        let v = (co.b1[l] * (d1 + d2)).min(co.b2[l] * d1 + co.b3[l] * d3);
-        let w = co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2;
-        // When the sum row binds, keep R_b at its individual cap and
-        // give R_a the remainder (the MABC kernel's convention).
-        let direct = u + v <= w;
-        let rbx = v.min(w);
-        rate[l] = (u + v).min(w);
-        ra[l] = sel(direct, u, w - rbx);
-        rb[l] = sel(direct, v, rbx);
-        d[0][l] = d0;
-        d[1][l] = d1;
-        d[2][l] = d2;
-        d[3][l] = d3;
-    }
-    (rate, ra, rb, d)
 }
 
 // ---------------------------------------------------------------------------
 // Max–min lane kernels
 // ---------------------------------------------------------------------------
 
-/// DT max–min: both direct-link lines bind at the optimum. Returns
-/// `(t, Δ₁)`.
-#[inline(always)]
-fn dt_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
-    let (mut t, mut d0) = ([0.0; M], [0.0; M]);
-    for l in 0..M {
-        let (ca, cb) = (c.c_a_ab[l], c.c_b_ab[l]);
-        let dead = ca <= 0.0 || cb <= 0.0;
-        let dd = cb / (ca + cb);
-        let tt = ca * cb / (ca + cb);
-        d0[l] = sel(dead, 0.5, dd);
-        t[l] = sel(dead, 0.0, tt);
+/// DT max–min: both direct-link lines bind at the optimum.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn dt_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    let (ca, cb) = (c.c_a_ab, c.c_b_ab);
+    let dead = ca.le(z) | cb.le(z);
+    let d0 = L::select(dead, L::splat(isa, 0.5), cb / (ca + cb));
+    MmLanes {
+        t: L::select(dead, z, ca * cb / (ca + cb)),
+        d: [d0, one - d0],
     }
-    (t, d0)
 }
 
 /// MABC max–min: `t ≤ mA(Δ)`, `t ≤ mB(Δ)`, `2t ≤ Δ·s` — the maximum of
 /// a min of five lines sits at a pairwise crossing or an endpoint.
 /// Candidates are screened (not clamped) exactly like the scalar
 /// `Cands` list, so out-of-range and degenerate crossings are rejected
-/// and the first-found maximum resolves ties identically. Returns
-/// `(t, Δ₁)`.
-#[inline(always)]
-fn mabc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
-    const PAIRS: [(usize, usize); 10] = [
-        (0, 1),
-        (0, 2),
-        (0, 3),
-        (0, 4),
-        (1, 2),
-        (1, 3),
-        (1, 4),
-        (2, 3),
-        (2, 4),
-        (3, 4),
-    ];
-    let mut bd = [0.0; M];
-    let mut bv = [f64::NEG_INFINITY; M];
-    for cand in 0..12 {
-        for l in 0..M {
-            // The five lines `p·Δ + q·(1 − Δ)`.
-            let p = [c.c_a_ar[l], 0.0, c.c_b_br[l], 0.0, 0.5 * c.c_mac[l]];
-            let q = [0.0, c.c_r_br[l], 0.0, c.c_r_ar[l], 0.0];
-            let d = match cand {
-                0 => 0.0,
-                1 => 1.0,
-                _ => {
-                    let (i, j) = PAIRS[cand - 2];
-                    let denom = (p[i] - q[i]) - (p[j] - q[j]);
-                    (q[j] - q[i]) / denom
-                }
-            };
-            let ok = (0.0..=1.0).contains(&d); // NaN/±inf crossings rejected
-            let mut v = f64::INFINITY;
-            for k in 0..5 {
-                v = v.min(p[k] * d + q[k] * (1.0 - d));
+/// and the first-found maximum resolves ties identically.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn mabc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    // The five lines `p·Δ + q·(1 − Δ)`.
+    let p = [c.c_a_ar, z, c.c_b_br, z, L::splat(isa, 0.5) * c.c_mac];
+    let q = [z, c.c_r_br, z, c.c_r_ar, z];
+    let mut bd = z;
+    let mut bv = L::splat(isa, f64::NEG_INFINITY);
+    macro_rules! offer {
+        ($d:expr) => {
+            let d = $d;
+            let ok = z.le(d) & d.le(one); // NaN/±inf crossings rejected
+            let e = one - d;
+            // The running minimum `v` starts at +∞ and is never NaN, so
+            // `v.min(y)` is `y < v ? y : v`: spelled that way, it needs
+            // no NaN test.
+            let mut v = L::splat(isa, f64::INFINITY);
+            for y in [
+                p[0] * d + q[0] * e,
+                p[1] * d + q[1] * e,
+                p[2] * d + q[2] * e,
+                p[3] * d + q[3] * e,
+                p[4] * d + q[4] * e,
+            ] {
+                v = L::select(y.lt(v), y, v);
             }
-            let m = ok & (v > bv[l]);
-            bd[l] = sel(m, d, bd[l]);
-            bv[l] = sel(m, v, bv[l]);
-        }
+            let m = ok & v.gt(bv);
+            bd = L::select(m, d, bd);
+            bv = L::select(m, v, bv);
+        };
     }
-    let mut t = [0.0; M];
-    for l in 0..M {
-        t[l] = bv[l].max(0.0);
+    macro_rules! crossing {
+        ($i:tt, $j:tt) => {
+            offer!((q[$j] - q[$i]) / ((p[$i] - q[$i]) - (p[$j] - q[$j])));
+        };
     }
-    (t, bd)
+    offer!(z);
+    offer!(one);
+    each_pair!(crossing: 0 1 2 3 4);
+    MmLanes {
+        t: bv.max(z),
+        d: [bd, one - bd],
+    }
+}
+
+/// TDBC symmetric rate: the min of the four rate lines.
+struct TdbcMaxMin;
+
+impl RayValue<3> for TdbcMaxMin {
+    #[inline(always)]
+    fn value<L: Lane>(c: &CapsLanes<L>, d: &[L; 3]) -> L {
+        let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+        let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+        (alpha * d[0])
+            .min(beta * d[0] + gamma * d[2])
+            .min(delta * d[1])
+            .min(eps * d[1] + zeta * d[2])
+    }
 }
 
 /// TDBC max–min by vertex enumeration: nine cut planes (three facets,
-/// six pairwise ties of the four rate lines), ≤ 36 pairwise candidates
-/// through the homogeneous tournament. Returns `(t, Δ)`.
-#[inline(always)]
-fn tdbc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [[f64; M]; 3]) {
-    let (alpha, beta, gamma) = (&c.c_a_ar, &c.c_a_ab, &c.c_r_br);
-    let (delta, eps, zeta) = (&c.c_b_br, &c.c_b_ab, &c.c_r_ar);
-    let mut planes = [[[0.0; M]; 3]; 9];
-    for l in 0..M {
-        planes[0][0][l] = 1.0;
-        planes[1][1][l] = 1.0;
-        planes[2][2][l] = 1.0;
-        planes[3][0][l] = alpha[l] - beta[l];
-        planes[3][2][l] = -gamma[l];
-        planes[4][0][l] = alpha[l];
-        planes[4][1][l] = -delta[l];
-        planes[5][0][l] = alpha[l];
-        planes[5][1][l] = -eps[l];
-        planes[5][2][l] = -zeta[l];
-        planes[6][0][l] = beta[l];
-        planes[6][1][l] = -delta[l];
-        planes[6][2][l] = gamma[l];
-        planes[7][0][l] = beta[l];
-        planes[7][1][l] = -eps[l];
-        planes[7][2][l] = gamma[l] - zeta[l];
-        planes[8][1][l] = delta[l] - eps[l];
-        planes[8][2][l] = -zeta[l];
+/// six pairwise ties of the four rate lines), 36 pairwise candidates
+/// through the homogeneous tournament.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn tdbc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 3> {
+    let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
+    let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
+    let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+    let planes = [
+        [one, z, z],
+        [z, one, z],
+        [z, z, one],
+        [alpha - beta, z, -gamma],
+        [alpha, -delta, z],
+        [alpha, -eps, -zeta],
+        [beta, -delta, gamma],
+        [beta, -eps, gamma - zeta],
+        [z, delta - eps, -zeta],
+    ];
+    let mut best = Best {
+        f: z,
+        sum: one,
+        d: [z, z, one],
+    };
+    macro_rules! pair {
+        ($i:tt, $j:tt) => {
+            best.consider::<TdbcMaxMin>(isa, c, cross3(&planes[$i], &planes[$j]))
+        };
     }
-    let mut bt = [0.0; M];
-    let mut bs = [1.0; M];
-    let mut bd = [[0.0; M], [0.0; M], [1.0; M]];
-    for i in 0..9 {
-        for j in i + 1..9 {
-            let (a, b) = (&planes[i], &planes[j]);
-            for l in 0..M {
-                let mut d0 = a[1][l] * b[2][l] - a[2][l] * b[1][l];
-                let mut d1 = a[2][l] * b[0][l] - a[0][l] * b[2][l];
-                let mut d2 = a[0][l] * b[1][l] - a[1][l] * b[0][l];
-                let mut sum = d0 + d1 + d2;
-                let neg = sum < 0.0;
-                d0 = sel(neg, -d0, d0);
-                d1 = sel(neg, -d1, d1);
-                d2 = sel(neg, -d2, d2);
-                sum = sel(neg, -sum, sum);
-                let norm = d0.abs() + d1.abs() + d2.abs();
-                let tol = 1e-9 * sum;
-                let ok = (sum > 1e-12 * norm) & (d0 >= -tol) & (d1 >= -tol) & (d2 >= -tol);
-                let d0 = d0.max(0.0);
-                let d1 = d1.max(0.0);
-                let d2 = d2.max(0.0);
-                let t = (alpha[l] * d0)
-                    .min(beta[l] * d0 + gamma[l] * d2)
-                    .min(delta[l] * d1)
-                    .min(eps[l] * d1 + zeta[l] * d2);
-                let m = ok & (t * bs[l] > bt[l] * sum);
-                bt[l] = sel(m, t, bt[l]);
-                bs[l] = sel(m, sum, bs[l]);
-                bd[0][l] = sel(m, d0, bd[0][l]);
-                bd[1][l] = sel(m, d1, bd[1][l]);
-                bd[2][l] = sel(m, d2, bd[2][l]);
-            }
-        }
+    each_pair!(pair: 0 1 2 3 4 5 6 7 8);
+    let d = best.point(isa);
+    MmLanes {
+        t: TdbcMaxMin::value(c, &d).max(z),
+        d,
     }
-    let (mut t, mut d) = ([0.0; M], [[0.0; M]; 3]);
-    for l in 0..M {
-        let inv = 1.0 / bs[l];
-        let (d0, d1, d2) = (bd[0][l] * inv, bd[1][l] * inv, bd[2][l] * inv);
-        t[l] = (alpha[l] * d0)
-            .min(beta[l] * d0 + gamma[l] * d2)
-            .min(delta[l] * d1)
-            .min(eps[l] * d1 + zeta[l] * d2)
-            .max(0.0);
-        d[0][l] = d0;
-        d[1][l] = d1;
-        d[2][l] = d2;
-    }
-    (t, d)
 }
 
 // ---------------------------------------------------------------------------
@@ -855,279 +1194,321 @@ fn tdbc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [[f64; M]; 3]) 
 /// width-1 instantiation of the lane kernels (bit-identical to the
 /// block path by construction).
 pub(crate) fn sum_rate_one(caps: &LinkCaps, protocol: Protocol) -> SumRateSolution {
-    let c = CapsLanes::<1>::from_caps(caps);
+    let c = CapsLanes::from_caps(caps);
     match protocol {
-        Protocol::DirectTransmission => {
-            let (rate, ra, rb, d0) = dt_sum_lanes(&c);
-            sum_sol2(protocol, rate[0], ra[0], rb[0], d0[0])
-        }
-        Protocol::Mabc => {
-            let (rate, ra, rb, d0) = mabc_sum_lanes(&c);
-            sum_sol2(protocol, rate[0], ra[0], rb[0], d0[0])
-        }
-        Protocol::Tdbc => {
-            let (rate, ra, rb, d) = tdbc_sum_lanes(&c);
-            SumRateSolution {
-                protocol,
-                sum_rate: rate[0],
-                ra: ra[0],
-                rb: rb[0],
-                durations: PhaseVec::from([d[0][0], d[1][0], d[2][0]]),
-            }
-        }
-        Protocol::Hbc => {
-            let (rate, ra, rb, d) = hbc_sum_lanes(&c);
-            SumRateSolution {
-                protocol,
-                sum_rate: rate[0],
-                ra: ra[0],
-                rb: rb[0],
-                durations: PhaseVec::from([d[0][0], d[1][0], d[2][0], d[3][0]]),
-            }
-        }
+        Protocol::DirectTransmission => dt_sum_lanes((), &c).one(protocol),
+        Protocol::Mabc => mabc_sum_lanes((), &c).one(protocol),
+        Protocol::Tdbc => tdbc_sum_lanes((), &c).one(protocol),
+        Protocol::Hbc => hbc_sum_lanes((), &c).one(protocol),
     }
 }
 
 /// Closed-form max–min point of one point from its capacity bundle
 /// (`None` for HBC — its four-phase max–min stays on the simplex).
 pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
-    let c = CapsLanes::<1>::from_caps(caps);
+    let c = CapsLanes::from_caps(caps);
     Some(match protocol {
-        Protocol::DirectTransmission => {
-            let (t, d0) = dt_mm_lanes(&c);
-            mm_pt2(t[0], d0[0])
-        }
-        Protocol::Mabc => {
-            let (t, d0) = mabc_mm_lanes(&c);
-            mm_pt2(t[0], d0[0])
-        }
-        Protocol::Tdbc => {
-            let (t, d) = tdbc_mm_lanes(&c);
-            SchedulePoint {
-                ra: t[0],
-                rb: t[0],
-                durations: PhaseVec::from([d[0][0], d[1][0], d[2][0]]),
-                objective: t[0],
-            }
-        }
+        Protocol::DirectTransmission => dt_mm_lanes((), &c).one(),
+        Protocol::Mabc => mabc_mm_lanes((), &c).one(),
+        Protocol::Tdbc => tdbc_mm_lanes((), &c).one(),
         Protocol::Hbc => return None,
     })
-}
-
-#[inline(always)]
-fn sum_sol2(protocol: Protocol, rate: f64, ra: f64, rb: f64, d0: f64) -> SumRateSolution {
-    SumRateSolution {
-        protocol,
-        sum_rate: rate,
-        ra,
-        rb,
-        durations: PhaseVec::from([d0, 1.0 - d0]),
-    }
-}
-
-#[inline(always)]
-fn mm_pt2(t: f64, d0: f64) -> SchedulePoint {
-    SchedulePoint {
-        ra: t,
-        rb: t,
-        durations: PhaseVec::from([d0, 1.0 - d0]),
-        objective: t,
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Block drivers
 // ---------------------------------------------------------------------------
 
-/// Runs `$chunk` over the block: full [`LANE`]-wide chunks, then a
-/// width-1 scalar tail through the same generic body.
-macro_rules! chunked {
-    ($chunk:ident, $block:expr, $out:expr, $n:expr) => {{
-        let mut i = 0usize;
-        while i + LANE <= $n {
-            $chunk::<LANE>($block, i, $out);
-            i += LANE;
+/// Runs lane body `$body` over every full `$L`-wide chunk of the block,
+/// handing each chunk's answer to `.push($args)`; evaluates to the index
+/// where the width-1 tail starts.
+macro_rules! chunks {
+    ($L:ty, $isa:expr, $block:expr, $body:ident.push($($arg:expr),*)) => {{
+        let w = <$L as Lane>::WIDTH;
+        let tail = $block.len() - $block.len() % w;
+        for i in (0..tail).step_by(w) {
+            $body::<$L>($isa, &CapsLanes::load($isa, $block, i)).push($($arg),*);
         }
-        while i < $n {
-            $chunk::<1>($block, i, $out);
-            i += 1;
-        }
+        tail
     }};
 }
 
+/// The whole-block sum-rate body over lane type `L`: full chunks, then a
+/// tail through [`sum_rate_one`] (the same lane bodies at width 1).
 #[inline(always)]
-fn dt_sum_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SumRateSolution>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (rate, ra, rb, d0) = dt_sum_lanes(&c);
-    for l in 0..M {
-        out.push(sum_sol2(
-            Protocol::DirectTransmission,
-            rate[l],
-            ra[l],
-            rb[l],
-            d0[l],
-        ));
+fn sum_block_with<L: Lane>(
+    isa: L::Isa,
+    block: &PointBlock,
+    protocol: Protocol,
+    out: &mut Vec<SumRateSolution>,
+) {
+    out.reserve(block.len());
+    let tail = match protocol {
+        Protocol::DirectTransmission => chunks!(L, isa, block, dt_sum_lanes.push(protocol, out)),
+        Protocol::Mabc => chunks!(L, isa, block, mabc_sum_lanes.push(protocol, out)),
+        Protocol::Tdbc => chunks!(L, isa, block, tdbc_sum_lanes.push(protocol, out)),
+        Protocol::Hbc => chunks!(L, isa, block, hbc_sum_lanes.push(protocol, out)),
+    };
+    for i in tail..block.len() {
+        out.push(sum_rate_one(&block.caps(i), protocol));
     }
 }
 
+/// The whole-block max–min body over lane type `L` (DT/MABC/TDBC): full
+/// chunks, then a tail through [`max_min_one`].
 #[inline(always)]
-fn mabc_sum_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SumRateSolution>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (rate, ra, rb, d0) = mabc_sum_lanes(&c);
-    for l in 0..M {
-        out.push(sum_sol2(Protocol::Mabc, rate[l], ra[l], rb[l], d0[l]));
-    }
-}
-
-#[inline(always)]
-fn tdbc_sum_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SumRateSolution>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (rate, ra, rb, d) = tdbc_sum_lanes(&c);
-    for l in 0..M {
-        out.push(SumRateSolution {
-            protocol: Protocol::Tdbc,
-            sum_rate: rate[l],
-            ra: ra[l],
-            rb: rb[l],
-            durations: PhaseVec::from([d[0][l], d[1][l], d[2][l]]),
-        });
-    }
-}
-
-#[inline(always)]
-fn hbc_sum_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SumRateSolution>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (rate, ra, rb, d) = hbc_sum_lanes(&c);
-    for l in 0..M {
-        out.push(SumRateSolution {
-            protocol: Protocol::Hbc,
-            sum_rate: rate[l],
-            ra: ra[l],
-            rb: rb[l],
-            durations: PhaseVec::from([d[0][l], d[1][l], d[2][l], d[3][l]]),
-        });
-    }
-}
-
-#[inline(always)]
-fn dt_mm_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SchedulePoint>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (t, d0) = dt_mm_lanes(&c);
-    for l in 0..M {
-        out.push(mm_pt2(t[l], d0[l]));
-    }
-}
-
-#[inline(always)]
-fn mabc_mm_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SchedulePoint>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (t, d0) = mabc_mm_lanes(&c);
-    for l in 0..M {
-        out.push(mm_pt2(t[l], d0[l]));
-    }
-}
-
-#[inline(always)]
-fn tdbc_mm_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SchedulePoint>) {
-    let c = CapsLanes::<M>::load(b, i);
-    let (t, d) = tdbc_mm_lanes(&c);
-    for l in 0..M {
-        out.push(SchedulePoint {
-            ra: t[l],
-            rb: t[l],
-            durations: PhaseVec::from([d[0][l], d[1][l], d[2][l]]),
-            objective: t[l],
-        });
-    }
-}
-
-/// The whole-block sum-rate body (shared by the plain and AVX2 builds;
-/// `inline(always)` so the `target_feature` wrapper recompiles it with
-/// wider lanes).
-#[inline(always)]
-fn sum_block_body(block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
-    let n = block.len();
-    out.reserve(n);
-    match protocol {
-        Protocol::DirectTransmission => chunked!(dt_sum_chunk, block, out, n),
-        Protocol::Mabc => chunked!(mabc_sum_chunk, block, out, n),
-        Protocol::Tdbc => chunked!(tdbc_sum_chunk, block, out, n),
-        Protocol::Hbc => chunked!(hbc_sum_chunk, block, out, n),
-    }
-}
-
-/// The whole-block max–min body (DT/MABC/TDBC).
-#[inline(always)]
-fn mm_block_body(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
-    let n = block.len();
-    out.reserve(n);
-    match protocol {
-        Protocol::DirectTransmission => chunked!(dt_mm_chunk, block, out, n),
-        Protocol::Mabc => chunked!(mabc_mm_chunk, block, out, n),
-        Protocol::Tdbc => chunked!(tdbc_mm_chunk, block, out, n),
+fn mm_block_with<L: Lane>(
+    isa: L::Isa,
+    block: &PointBlock,
+    protocol: Protocol,
+    out: &mut Vec<SchedulePoint>,
+) {
+    out.reserve(block.len());
+    let tail = match protocol {
+        Protocol::DirectTransmission => chunks!(L, isa, block, dt_mm_lanes.push(out)),
+        Protocol::Mabc => chunks!(L, isa, block, mabc_mm_lanes.push(out)),
+        Protocol::Tdbc => chunks!(L, isa, block, tdbc_mm_lanes.push(out)),
         Protocol::Hbc => unreachable!("HBC max-min has no closed form"),
+    };
+    for i in tail..block.len() {
+        out.push(max_min_one(&block.caps(i), protocol).expect("closed form"));
     }
 }
 
-/// AVX2 twins of the block bodies, gated behind the `simd` feature and
-/// dispatched by runtime CPU detection. The bodies are the same generic
-/// lane code — recompiling them with AVX2 enabled only widens the lane
-/// ops (exact IEEE mul/add/min/max, no FMA contraction), so results
-/// stay bit-identical to the portable build.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The sum-rate block path on portable `[f64; LANE]` lanes: what hosts
+/// without AVX2 run, callable on any host so tests cover it everywhere.
+fn sum_block_portable(block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
+    sum_block_with::<Portable<LANE>>((), block, protocol, out);
+}
+
+/// The max–min block path on portable `[f64; LANE]` lanes (see
+/// [`sum_block_portable`]).
+fn mm_block_portable(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
+    mm_block_with::<Portable<LANE>>((), block, protocol, out);
+}
+
+/// The AVX2 lane type and the block bodies instantiated on it. This
+/// module holds all of the crate's `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod simd {
-    #![allow(unsafe_code)]
+    use super::{mm_block_with, sum_block_with, Lane, PointBlock, Protocol};
+    use crate::gaussian::SumRateSolution;
+    use crate::optimizer::SchedulePoint;
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd,
+        _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_or_pd,
+        _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _CMP_GE_OQ, _CMP_GT_OQ,
+        _CMP_LE_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
+    };
+    use std::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Sub};
 
-    use super::*;
+    /// Proof that the running CPU supports AVX2: [`Avx2::detect`] is its
+    /// only constructor.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2.
+    impl Avx2 {
+        fn detect() -> Option<Avx2> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+    }
+
+    /// Four `f64` lanes in one AVX2 register. A value is built from an
+    /// [`Avx2`] token or from other `F64x4`s, so holding one proves the
+    /// CPU supports AVX2 — the premise of every `unsafe` block below.
+    #[derive(Clone, Copy)]
+    pub(super) struct F64x4(__m256d);
+
+    /// Lane mask of [`F64x4`]: all-ones or all-zeros per lane, from a
+    /// compare of `F64x4`s (so it carries the same proof).
+    #[derive(Clone, Copy)]
+    pub(super) struct Mask4(__m256d);
+
+    macro_rules! avx_ops {
+        ($ty:ident: $($tr:ident $f:ident $intr:ident),*) => {$(
+            impl $tr for $ty {
+                type Output = Self;
+                #[inline(always)]
+                fn $f(self, y: Self) -> Self {
+                    // SAFETY: both operands are AVX2 lane values, so AVX2
+                    // is present.
+                    $ty(unsafe { $intr(self.0, y.0) })
+                }
+            }
+        )*};
+    }
+    avx_ops!(F64x4: Add add _mm256_add_pd, Sub sub _mm256_sub_pd, Mul mul _mm256_mul_pd,
+        Div div _mm256_div_pd);
+    avx_ops!(Mask4: BitAnd bitand _mm256_and_pd, BitOr bitor _mm256_or_pd);
+
+    impl Neg for F64x4 {
+        type Output = Self;
+        #[inline(always)]
+        fn neg(self) -> Self {
+            // SAFETY: `self` is an AVX2 lane value, so AVX2 is present.
+            F64x4(unsafe { _mm256_xor_pd(self.0, _mm256_set1_pd(-0.0)) })
+        }
+    }
+
+    /// A lanewise ordered/unordered compare (`CMP` is an `_CMP_*` code).
+    #[inline(always)]
+    fn cmp<const CMP: i32>(x: F64x4, y: F64x4) -> Mask4 {
+        // SAFETY: both operands are AVX2 lane values, so AVX2 is present.
+        Mask4(unsafe { _mm256_cmp_pd::<CMP>(x.0, y.0) })
+    }
+
+    impl Lane for F64x4 {
+        type Mask = Mask4;
+        type Isa = Avx2;
+        const WIDTH: usize = 4;
+
+        #[inline(always)]
+        fn splat(_: Avx2, x: f64) -> Self {
+            // SAFETY: the `Avx2` token proves AVX2 is present.
+            F64x4(unsafe { _mm256_set1_pd(x) })
+        }
+
+        #[inline(always)]
+        fn load(_: Avx2, v: &[f64]) -> Self {
+            let v = &v[..4];
+            // SAFETY: the `Avx2` token proves AVX2 is present, and `v`
+            // holds the four values the unaligned load reads.
+            F64x4(unsafe { _mm256_loadu_pd(v.as_ptr()) })
+        }
+
+        #[inline(always)]
+        fn store(self, out: &mut [f64]) {
+            let out = &mut out[..4];
+            // SAFETY: `self` is an AVX2 lane value, so AVX2 is present,
+            // and `out` has room for the four values the store writes.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: `self` is an AVX2 lane value, so AVX2 is present.
+            F64x4(unsafe { _mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0) })
+        }
+
+        #[inline(always)]
+        fn lt(self, y: Self) -> Mask4 {
+            cmp::<_CMP_LT_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn le(self, y: Self) -> Mask4 {
+            cmp::<_CMP_LE_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn gt(self, y: Self) -> Mask4 {
+            cmp::<_CMP_GT_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn ge(self, y: Self) -> Mask4 {
+            cmp::<_CMP_GE_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn is_nan(self) -> Mask4 {
+            cmp::<_CMP_UNORD_Q>(self, self)
+        }
+
+        #[inline(always)]
+        fn select(m: Mask4, t: Self, f: Self) -> Self {
+            // SAFETY: all three operands are AVX2 lane values, so AVX2 is
+            // present.
+            F64x4(unsafe { _mm256_blendv_pd(f.0, t.0, m.0) })
+        }
+
+        // The overrides below compute the written meanings exactly: the
+        // SDM defines `vminpd a, b` as `a < b ? a : b` and `vmaxpd a, b`
+        // as `a > b ? a : b`, each returning `b` when either is NaN.
+
+        #[inline(always)]
+        fn min(self, y: Self) -> Self {
+            // `vminpd y, x` is `y < x ? y : x`, except that a NaN `x`
+            // must give `y`: blend that case back in.
+            let x_nan = self.is_nan();
+            // SAFETY: both operands are AVX2 lane values, so AVX2 is
+            // present.
+            F64x4::select(x_nan, y, F64x4(unsafe { _mm256_min_pd(y.0, self.0) }))
+        }
+
+        #[inline(always)]
+        fn max(self, y: Self) -> Self {
+            // SAFETY: both operands are AVX2 lane values, so AVX2 is
+            // present.
+            F64x4(unsafe { _mm256_max_pd(self.0, y.0) })
+        }
+
+        #[inline(always)]
+        fn neg_if(self, m: Mask4) -> Self {
+            // Flips the sign bit where `m` is set, which is what `-x` does.
+            // SAFETY: both operands are AVX2 lane values, so AVX2 is
+            // present.
+            F64x4(unsafe { _mm256_xor_pd(self.0, _mm256_and_pd(m.0, _mm256_set1_pd(-0.0))) })
+        }
+    }
+
     #[target_feature(enable = "avx2")]
-    unsafe fn sum_block_avx2(
+    fn sum_block_avx2(
+        isa: Avx2,
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SumRateSolution>,
     ) {
-        sum_block_body(block, protocol, out);
+        sum_block_with::<F64x4>(isa, block, protocol, out);
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn mm_block_avx2(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
-        mm_block_body(block, protocol, out);
+    fn mm_block_avx2(
+        isa: Avx2,
+        block: &PointBlock,
+        protocol: Protocol,
+        out: &mut Vec<SchedulePoint>,
+    ) {
+        mm_block_with::<F64x4>(isa, block, protocol, out);
     }
 
-    /// Runs the AVX2 sum-rate body if the CPU supports it; `false` means
-    /// the caller should take the portable path.
+    /// Runs the sum-rate block body on AVX2 lanes if the CPU supports
+    /// them; `false` means the caller should take the portable path.
     pub(super) fn sum_block(
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SumRateSolution>,
     ) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        let Some(isa) = Avx2::detect() else {
             return false;
-        }
-        // SAFETY: AVX2 support was just detected at runtime.
-        unsafe { sum_block_avx2(block, protocol, out) };
+        };
+        // SAFETY: `isa` proves the CPU supports AVX2, the only feature
+        // `sum_block_avx2` enables.
+        unsafe { sum_block_avx2(isa, block, protocol, out) };
         true
     }
 
-    /// Runs the AVX2 max–min body if the CPU supports it; `false` means
-    /// the caller should take the portable path.
+    /// Runs the max–min block body on AVX2 lanes if the CPU supports
+    /// them; `false` means the caller should take the portable path.
     pub(super) fn mm_block(
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SchedulePoint>,
     ) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        let Some(isa) = Avx2::detect() else {
             return false;
-        }
-        // SAFETY: AVX2 support was just detected at runtime.
-        unsafe { mm_block_avx2(block, protocol, out) };
+        };
+        // SAFETY: `isa` proves the CPU supports AVX2, the only feature
+        // `mm_block_avx2` enables.
+        unsafe { mm_block_avx2(isa, block, protocol, out) };
         true
+    }
+
+    /// The AVX2 token, if the CPU supports AVX2 (for the lane-op tests).
+    #[cfg(test)]
+    pub(super) fn avx2() -> Option<Avx2> {
+        Avx2::detect()
     }
 }
 
@@ -1139,8 +1520,9 @@ fn finish_block(n: usize) {
 }
 
 /// Batched closed-form `max_sum_rate`: appends one solution per staged
-/// point (in block order) to `out`. Covers all four protocols;
-/// bit-identical to the scalar kernel at any lane width.
+/// point (in block order) to `out`. Covers all four protocols; runs on
+/// AVX2 lanes when the CPU has them and is bit-identical to the scalar
+/// kernel either way.
 ///
 /// # Panics
 ///
@@ -1155,12 +1537,12 @@ pub fn max_sum_rate_block(block: &PointBlock, protocol: Protocol, out: &mut Vec<
     if n == 0 {
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::sum_block(block, protocol, out) {
         finish_block(n);
         return;
     }
-    sum_block_body(block, protocol, out);
+    sum_block_portable(block, protocol, out);
     finish_block(n);
 }
 
@@ -1189,12 +1571,12 @@ pub fn max_min_rate_block(
     if n == 0 {
         return true;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::mm_block(block, protocol, out) {
         finish_block(n);
         return true;
     }
-    mm_block_body(block, protocol, out);
+    mm_block_portable(block, protocol, out);
     finish_block(n);
     true
 }
@@ -1296,6 +1678,163 @@ mod tests {
         let mut out = Vec::new();
         assert!(!max_min_rate_block(&b, Protocol::Hbc, &mut out));
         assert!(out.is_empty());
+    }
+
+    /// The 13-point grid, 64 Rayleigh fades of each of its first three
+    /// networks, and lopsided power splits (silent nodes included).
+    fn varied() -> Vec<GaussianNetwork> {
+        let mut nets = grid();
+        let model = bcc_channel::FadingModel::Rayleigh;
+        for (i, base) in grid()[..3].iter().enumerate() {
+            for t in 0..64 {
+                let mut rng = crate::scenario::trial_stream(i as u64, t);
+                nets.push(base.with_state(base.state().faded(
+                    model.sample_power(&mut rng),
+                    model.sample_power(&mut rng),
+                    model.sample_power(&mut rng),
+                )));
+            }
+        }
+        for (pa, pb, pr) in [
+            (1.0, 9.0, 5.0),
+            (9.0, 1.0, 0.0),
+            (0.0, 4.0, 4.0),
+            (25.0, 2.5, 12.5),
+        ] {
+            nets.push(GaussianNetwork::with_powers(
+                PowerSplit::new(pa, pb, pr),
+                ChannelState::new(0.2, 1.0, 3.16),
+            ));
+        }
+        nets
+    }
+
+    /// Every output bit of a sum-rate block, per point.
+    fn sum_bits(out: &[SumRateSolution]) -> Vec<Vec<u64>> {
+        out.iter()
+            .map(|s| {
+                let head = [s.sum_rate, s.ra, s.rb];
+                head.iter()
+                    .chain(s.durations.iter())
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every output bit of a max–min block, per point.
+    fn mm_bits(out: &[SchedulePoint]) -> Vec<Vec<u64>> {
+        out.iter()
+            .map(|p| {
+                let head = [p.objective, p.ra, p.rb];
+                head.iter()
+                    .chain(p.durations.iter())
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The fallback that hosts without AVX2 run, forced on this host and
+    /// compared with whatever path the dispatcher picks here.
+    #[test]
+    fn portable_block_path_is_bit_identical_to_dispatched() {
+        let nets = varied();
+        let b = filled_block(&nets);
+        for proto in Protocol::ALL {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            max_sum_rate_block(&b, proto, &mut want);
+            sum_block_portable(&b, proto, &mut got);
+            assert_eq!(sum_bits(&got), sum_bits(&want), "{proto} sum rate");
+        }
+        for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            assert!(max_min_rate_block(&b, proto, &mut want));
+            mm_block_portable(&b, proto, &mut got);
+            assert_eq!(mm_bits(&got), mm_bits(&want), "{proto} max-min");
+        }
+    }
+
+    /// Every zero duration is +0.0 at every opt-level. `f64::max` lanes
+    /// would give Δ₄ = −0.0 for HBC at grid point 4 (P = 1, gains
+    /// 5/0.5/0.5) in an unoptimised build and +0.0 in a release build.
+    #[test]
+    fn zero_durations_are_positive_zero() {
+        let nets = varied();
+        let b = filled_block(&nets);
+        let neg_zero = (-0.0f64).to_bits();
+        for proto in Protocol::ALL {
+            let mut out = Vec::new();
+            max_sum_rate_block(&b, proto, &mut out);
+            for (i, s) in out.iter().enumerate() {
+                let bad = s.durations.iter().any(|x| x.to_bits() == neg_zero);
+                assert!(!bad, "{proto} sum rate at {i}: {:?}", s.durations);
+            }
+            let mut pts = Vec::new();
+            if max_min_rate_block(&b, proto, &mut pts) {
+                for (i, p) in pts.iter().enumerate() {
+                    let bad = p.durations.iter().any(|x| x.to_bits() == neg_zero);
+                    assert!(!bad, "{proto} max-min at {i}: {:?}", p.durations);
+                }
+            }
+        }
+        let hbc = kernel::max_sum_rate(&grid()[4], Protocol::Hbc).expect("covered");
+        assert_eq!(hbc.durations[3].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `(x, y, x.min(y), x.max(y))` under the written lane-op meanings.
+    const MIN_MAX: [(f64, f64, f64, f64); 8] = [
+        (-0.0, 0.0, -0.0, 0.0),
+        (0.0, -0.0, 0.0, -0.0),
+        (f64::NAN, 1.0, 1.0, 1.0),
+        (1.0, f64::NAN, 1.0, f64::NAN),
+        (2.0, 3.0, 2.0, 3.0),
+        (3.0, 2.0, 2.0, 3.0),
+        (-1.0, 0.0, -1.0, 0.0),
+        (f64::INFINITY, -0.0, -0.0, f64::INFINITY),
+    ];
+
+    /// `(x, x clamped to [0, 1])`.
+    const CLAMP: [(f64, f64); 7] = [
+        (-0.5, 0.0),
+        (-0.0, -0.0),
+        (0.3, 0.3),
+        (1.5, 1.0),
+        (f64::NAN, f64::NAN),
+        (f64::INFINITY, 1.0),
+        (f64::NEG_INFINITY, 0.0),
+    ];
+
+    fn assert_lanes<L: Lane>(v: L, want: f64, what: &str) {
+        for (l, got) in lanes(v)[..L::WIDTH].iter().enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}, lane {l}: {got}");
+        }
+    }
+
+    fn lane_ops_hold<L: Lane>(isa: L::Isa) {
+        for (x, y, min, max) in MIN_MAX {
+            let (lx, ly) = (L::splat(isa, x), L::splat(isa, y));
+            assert_lanes(lx.min(ly), min, &format!("min({x}, {y})"));
+            assert_lanes(lx.max(ly), max, &format!("max({x}, {y})"));
+        }
+        let (zero, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
+        for (x, want) in CLAMP {
+            assert_lanes(
+                clamp01(L::splat(isa, x), zero, one),
+                want,
+                &format!("clamp({x})"),
+            );
+        }
+    }
+
+    #[test]
+    fn lane_ops_have_one_meaning_on_every_lane_type() {
+        lane_ops_hold::<Portable<1>>(());
+        lane_ops_hold::<Portable<LANE>>(());
+        #[cfg(target_arch = "x86_64")]
+        if let Some(isa) = simd::avx2() {
+            lane_ops_hold::<simd::F64x4>(isa);
+        }
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //! assert!(hbc.sum_rate >= cmp.get(Protocol::Tdbc).unwrap().sum_rate - 1e-9);
 //! ```
 
-// The default build carries no unsafe code at all; the opt-in `simd`
-// feature needs `unsafe` solely for the runtime-detected
-// `#[target_feature(enable = "avx2")]` wrappers in `batch::simd`.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+// `unsafe` is denied crate-wide. The one exception is `batch::simd`,
+// which allows it for the AVX2 intrinsics and the calls into its
+// `#[target_feature(enable = "avx2")]` block bodies, both reachable only
+// after runtime AVX2 detection.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

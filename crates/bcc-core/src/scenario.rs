@@ -871,6 +871,7 @@ impl Evaluator {
                 vec![Vec::<SolveOutcome>::new(); nproto],
             )
         };
+        // Each block returns one column of rates per protocol.
         let blocks: Vec<Vec<Vec<f64>>> =
             par::par_map_range(threads, nblocks, worker, |(ctx, block, outs), j| {
                 let lo = j * bsz;
@@ -900,19 +901,27 @@ impl Evaluator {
                     ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
                         .expect("closed-form batch solve is infallible");
                 }
-                (0..hi - lo)
-                    .map(|i| outs.iter().map(|lane| lane[i].value).collect())
+                outs.iter()
+                    .map(|lane| lane.iter().map(|o| o.value).collect())
                     .collect()
             });
-        let rows = blocks.into_iter().flatten();
 
+        // Append each block's columns to the grid points they cover; a
+        // block can straddle a point boundary.
         let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
         for &p in protocols {
             samples.insert(p, vec![Vec::with_capacity(trials); points.len()]);
         }
-        for (k, row) in rows.enumerate() {
-            for (&p, rate) in protocols.iter().zip(row) {
-                samples.get_mut(p).expect("pre-populated")[k / trials].push(rate);
+        for (j, columns) in blocks.into_iter().enumerate() {
+            for (&p, column) in protocols.iter().zip(&columns) {
+                let per_point = samples.get_mut(p).expect("pre-populated");
+                let (mut k, mut rest) = (j * bsz, &column[..]);
+                while !rest.is_empty() {
+                    let take = rest.len().min(trials - k % trials);
+                    per_point[k / trials].extend_from_slice(&rest[..take]);
+                    rest = &rest[take..];
+                    k += take;
+                }
             }
         }
         (spec, samples)
