@@ -21,7 +21,7 @@
 //!   for 1e-3;
 //! * **`multipair_k3`** — a 4 001-point, three-pair shared-relay sweep
 //!   (sum-rate *and* max–min per pair × protocol, ~96k solves through
-//!   the `point × pair × protocol` fan-out);
+//!   the blocked `point × pair` fan-out);
 //! * **`city_scale`** — the city-scale relay-assignment study
 //!   (`bcc_bench::citystudy`): 4 000 pairs × 48 candidate relays on a
 //!   disc, every `(pair, relay)` edge's best-protocol sum rate through
@@ -253,8 +253,8 @@ fn outage_scenario() -> Scenario {
 /// The K-pair workload: 4 001 power points × the canonical E-M1 study
 /// pairs (`bcc_bench::multipairstudy::pair_set`, so the gate and the
 /// published study measure the same networks) × every protocol,
-/// sum-rate and max–min per pair (the `point × pair × protocol` fan-out
-/// of `MultiPairEvaluator::sweep`).
+/// sum-rate and max–min per pair (the blocked `point × pair` fan-out of
+/// `MultiPairEvaluator::sweep`).
 fn multipair_scenario() -> MultiPairScenario {
     MultiPairScenario::power_sweep_db(
         &bcc_bench::multipairstudy::pair_set(),
@@ -270,58 +270,70 @@ fn city_scenario() -> bcc_core::city::CityScenario {
         .protocols(citystudy::PROTOCOLS)
 }
 
-fn time_fig3(parallel_threads: usize) -> Timing {
-    let points = fig3_scenario().build().points().len();
-    let serial_sweep = fig3_scenario()
-        .threads(1)
-        .build()
-        .sweep()
-        .expect("solvable");
-    let parallel_sweep = fig3_scenario()
-        .threads(parallel_threads)
-        .build()
-        .sweep()
-        .expect("solvable");
+/// Times one sweep-shaped scenario, in a fixed order: a serial vs
+/// parallel bit-identity assert, one counted serial run for the solver
+/// mix, then [`best_ms`] at 1 and at `parallel_threads` workers.
+/// `prepare(threads)` builds what the counted run leaves out; `run` is
+/// the work being measured. Returns the timing (without extras) and the
+/// serial result.
+fn time_scenario<E, R: PartialEq + std::fmt::Debug>(
+    name: &'static str,
+    (points, trials, units): (usize, usize, usize),
+    parallel_threads: usize,
+    prepare: impl Fn(usize) -> E,
+    run: impl Fn(&mut E) -> R,
+) -> (Timing, R) {
+    let serial = run(&mut prepare(1));
     assert_eq!(
-        serial_sweep, parallel_sweep,
-        "parallel sweep must be bit-identical"
+        serial,
+        run(&mut prepare(parallel_threads)),
+        "{name}: the parallel run must be bit-identical"
     );
-    let mix = measure_mix(points, || {
-        fig3_scenario()
-            .threads(1)
-            .build()
-            .sweep()
-            .expect("solvable");
+    let mut measured = prepare(1);
+    let mix = measure_mix(units, || {
+        run(&mut measured);
     });
     let serial_ms = best_ms(REPS, || {
-        fig3_scenario()
-            .threads(1)
-            .build()
-            .sweep()
-            .expect("solvable");
+        run(&mut prepare(1));
     });
     let parallel_ms = best_ms(REPS, || {
-        fig3_scenario()
-            .threads(parallel_threads)
-            .build()
-            .sweep()
-            .expect("solvable");
+        run(&mut prepare(parallel_threads));
     });
-    Timing {
-        name: "fig3_sweep",
+    let timing = Timing {
+        name,
         points,
-        trials: 0,
+        trials,
         serial_ms,
         parallel_ms,
         mix,
         extra: Vec::new(),
-    }
+    };
+    (timing, serial)
+}
+
+fn time_fig3(parallel_threads: usize) -> Timing {
+    let points = fig3_scenario().build().points().len();
+    let sweep = |&mut threads: &mut usize| {
+        fig3_scenario()
+            .threads(threads)
+            .build()
+            .sweep()
+            .expect("solvable")
+    };
+    time_scenario(
+        "fig3_sweep",
+        (points, 0, points),
+        parallel_threads,
+        |t| t,
+        sweep,
+    )
+    .0
 }
 
 fn time_crossover(parallel_threads: usize) -> Timing {
     let net = fig4_network(0.0);
     let points = crossover_scenario().build().points().len();
-    let run = |threads: usize| {
+    let run = |&mut threads: &mut usize| {
         let sweep = crossover_scenario()
             .threads(threads)
             .build()
@@ -337,57 +349,32 @@ fn time_crossover(parallel_threads: usize) -> Timing {
         );
         sweep
     };
-    assert_eq!(run(1), run(parallel_threads));
-    let mix = measure_mix(points, || {
-        run(1);
-    });
-    let serial_ms = best_ms(REPS, || {
-        run(1);
-    });
-    let parallel_ms = best_ms(REPS, || {
-        run(parallel_threads);
-    });
-    Timing {
-        name: "crossover_search",
-        points,
-        trials: 0,
-        serial_ms,
-        parallel_ms,
-        mix,
-        extra: Vec::new(),
-    }
+    time_scenario(
+        "crossover_search",
+        (points, 0, points),
+        parallel_threads,
+        |t| t,
+        run,
+    )
+    .0
 }
 
 fn time_outage(parallel_threads: usize) -> Timing {
-    let serial = outage_scenario().threads(1).build().outage().expect("runs");
-    let parallel = outage_scenario()
-        .threads(parallel_threads)
-        .build()
-        .outage()
-        .expect("runs");
-    assert_eq!(serial, parallel, "parallel outage must be bit-identical");
-    let mix = measure_mix(10_000, || {
-        outage_scenario().threads(1).build().outage().expect("runs");
-    });
-    let serial_ms = best_ms(REPS, || {
-        outage_scenario().threads(1).build().outage().expect("runs");
-    });
-    let parallel_ms = best_ms(REPS, || {
+    let outage = |&mut threads: &mut usize| {
         outage_scenario()
-            .threads(parallel_threads)
+            .threads(threads)
             .build()
             .outage()
-            .expect("runs");
-    });
-    Timing {
-        name: "outage_10k",
-        points: 1,
-        trials: 10_000,
-        serial_ms,
-        parallel_ms,
-        mix,
-        extra: Vec::new(),
-    }
+            .expect("runs")
+    };
+    time_scenario(
+        "outage_10k",
+        (1, 10_000, 10_000),
+        parallel_threads,
+        |t| t,
+        outage,
+    )
+    .0
 }
 
 /// The deep-outage workload (`bcc_bench::deepstudy`): escalates the
@@ -481,51 +468,20 @@ fn time_multipair(parallel_threads: usize) -> Timing {
     let ev = multipair_scenario().build();
     let points = ev.points().len();
     let units = points * ev.num_pairs();
-    let serial = multipair_scenario()
-        .threads(1)
-        .build()
-        .sweep()
-        .expect("solvable");
-    let parallel = multipair_scenario()
-        .threads(parallel_threads)
-        .build()
-        .sweep()
-        .expect("solvable");
-    assert_eq!(
-        serial, parallel,
-        "parallel multi-pair sweep must be bit-identical"
-    );
-    // Build the evaluator *outside* the measured closure: constructing a
+    // The evaluator is built outside the counted run: constructing a
     // K-pair grid inherently allocates one pair list per point, but the
     // gated quantity is the solve loop — the evaluator is reusable, so a
     // long-lived service pays construction once.
-    let mut measured = multipair_scenario().threads(1).build();
-    let mix = measure_mix(units, || {
-        measured.sweep().expect("solvable");
-    });
-    let serial_ms = best_ms(REPS, || {
-        multipair_scenario()
-            .threads(1)
-            .build()
-            .sweep()
-            .expect("solvable");
-    });
-    let parallel_ms = best_ms(REPS, || {
-        multipair_scenario()
-            .threads(parallel_threads)
-            .build()
-            .sweep()
-            .expect("solvable");
-    });
-    Timing {
-        name: "multipair_k3",
-        points,
-        trials: 0,
-        serial_ms,
-        parallel_ms,
-        mix,
-        extra: Vec::new(),
-    }
+    let build = |threads| multipair_scenario().threads(threads).build();
+    let sweep = |ev: &mut MultiPairEvaluator| ev.sweep().expect("solvable");
+    time_scenario(
+        "multipair_k3",
+        (points, 0, units),
+        parallel_threads,
+        build,
+        sweep,
+    )
+    .0
 }
 
 /// The city-scale relay-assignment workload (E-C1): every `(pair,
@@ -539,60 +495,29 @@ fn time_city(parallel_threads: usize) -> Timing {
 
     let ev = city_scenario().build();
     let (k, n) = (ev.topology().num_pairs(), ev.topology().num_relays());
-    let units = k * n;
-    let serial = city_scenario()
-        .threads(1)
-        .build()
-        .sweep()
-        .expect("solvable");
-    let parallel = city_scenario()
-        .threads(parallel_threads)
-        .build()
-        .sweep()
-        .expect("solvable");
-    assert_eq!(
-        serial, parallel,
-        "parallel city sweep must be bit-identical"
-    );
-    // Evaluator construction (topology clone) stays outside the measured
-    // closure — the gated quantity is the edge-solve loop.
-    let mut measured = city_scenario().threads(1).build();
-    let mix = measure_mix(units, || {
-        measured.sweep().expect("solvable");
-    });
-    let serial_ms = best_ms(REPS, || {
-        city_scenario()
-            .threads(1)
-            .build()
-            .sweep()
-            .expect("solvable");
-    });
-    let parallel_ms = best_ms(REPS, || {
-        city_scenario()
-            .threads(parallel_threads)
-            .build()
-            .sweep()
-            .expect("solvable");
-    });
-    let assignment_rate = serial.best_edge_rate(AssignmentKind::Greedy);
-    let random_rate = serial.best_edge_rate(AssignmentKind::Random);
-    let refined_ts = serial.scheduled_rate(AssignmentKind::Refined, Schedule::TimeShare);
-    let greedy_ts = serial.scheduled_rate(AssignmentKind::Greedy, Schedule::TimeShare);
-    Timing {
-        name: "city_scale",
-        points: k,
-        trials: 0,
-        serial_ms,
-        parallel_ms,
-        mix,
-        extra: vec![
-            ("assignment_rate", assignment_rate),
-            ("random_rate", random_rate),
-            ("refined_ts_rate", refined_ts),
-            ("greedy_ts_rate", greedy_ts),
-            ("relays", n as f64),
-        ],
-    }
+    // Evaluator construction (topology clone) stays outside the counted
+    // run — the gated quantity is the edge-solve loop.
+    let build = |threads| city_scenario().threads(threads).build();
+    let sweep = |ev: &mut CityEvaluator| ev.sweep().expect("solvable");
+    let (mut timing, serial) =
+        time_scenario("city_scale", (k, 0, k * n), parallel_threads, build, sweep);
+    timing.extra = vec![
+        (
+            "assignment_rate",
+            serial.best_edge_rate(AssignmentKind::Greedy),
+        ),
+        ("random_rate", serial.best_edge_rate(AssignmentKind::Random)),
+        (
+            "refined_ts_rate",
+            serial.scheduled_rate(AssignmentKind::Refined, Schedule::TimeShare),
+        ),
+        (
+            "greedy_ts_rate",
+            serial.scheduled_rate(AssignmentKind::Greedy, Schedule::TimeShare),
+        ),
+        ("relays", n as f64),
+    ];
+    timing
 }
 
 /// The serving-layer workload (E-S1): the canonical `servestudy` mixed

@@ -36,8 +36,10 @@
 //! # Streaming and determinism
 //!
 //! [`CityEvaluator::sweep`] fans **one job per pair** across the worker
-//! pool; inside a job the pair's `n` relay edges stream through a
-//! per-worker [`PointBlock`](crate::batch::PointBlock) in chunks of the
+//! pool (a job is a pair, not a range of one flat index, so the sweep
+//! uses the driver's [`BlockSolver`] without
+//! [`par_blocks`](crate::kernel::par_blocks)); inside a job the pair's
+//! `n` relay edges stream through the worker's block in chunks of the
 //! scenario's block size and are immediately reduced to a fixed-size
 //! [`PairCandidates`] (best edge, random edge, top-`C` list). Memory is
 //! `O(K + block)` regardless of `n × K`, so `K = 10^5` pairs × 100
@@ -58,9 +60,11 @@
 //! assert!(result.scheduled_rate(AssignmentKind::Refined, Schedule::TimeShare)
 //!     >= result.scheduled_rate(AssignmentKind::Random, Schedule::TimeShare));
 //! ```
+//!
+//! [`SolveCtx::solve_block`]: crate::kernel::SolveCtx::solve_block
 
 use crate::error::CoreError;
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{BlockSolver, SolveRequest};
 use crate::protocol::Protocol;
 use bcc_channel::{PowerSplit, Topology};
 use bcc_num::par;
@@ -308,8 +312,7 @@ impl CityScenario {
 }
 
 /// The compiled form of a [`CityScenario`]: fans one job per pair
-/// across scoped worker threads, one [`SolveCtx`] and
-/// [`PointBlock`](crate::batch::PointBlock) per worker.
+/// across scoped worker threads, one [`BlockSolver`] per worker.
 #[derive(Debug)]
 pub struct CityEvaluator {
     scenario: CityScenario,
@@ -348,26 +351,22 @@ impl CityEvaluator {
         let sc = &self.scenario;
         let topo = &sc.topology;
         let (k, n) = (topo.num_pairs(), topo.num_relays());
-        let nproto = sc.protocols.len();
         let bsz = sc.effective_block_size();
         let threads = self.thread_count();
         let powers = PowerSplit::symmetric(sc.power);
+        let requests: Vec<SolveRequest> = sc
+            .protocols
+            .iter()
+            .map(|&p| SolveRequest::sum_rate(p))
+            .collect();
 
-        let worker = || {
-            (
-                SolveCtx::new(),
-                crate::batch::PointBlock::new(),
-                vec![Vec::<SolveOutcome>::new(); nproto],
-            )
-        };
         let pairs: Vec<PairCandidates> =
-            par::try_par_map_range(threads, k, worker, |(ctx, block, outs), pair| {
+            par::try_par_map_range(threads, k, BlockSolver::new, |solver, pair| {
                 let random_relay = (mix_seed(sc.assign_seed, pair as u64) % n as u64) as usize;
                 let mut cand = PairCandidates::new(random_relay);
-                let mut lo = 0;
-                while lo < n {
-                    let hi = (lo + bsz).min(n);
-                    block.clear();
+                for lo in (0..n).step_by(bsz) {
+                    let hi = n.min(lo + bsz);
+                    let block = solver.fill();
                     for j in lo..hi {
                         let state =
                             topo.try_edge_state(pair, j)
@@ -376,23 +375,18 @@ impl CityEvaluator {
                                 })?;
                         block.push(&powers, &state);
                     }
-                    block.compute_caps();
-                    for (pi, &p) in sc.protocols.iter().enumerate() {
-                        outs[pi].clear();
-                        ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])?;
-                    }
+                    let outs = solver.solve(&requests)?;
                     for i in 0..hi - lo {
                         // Best over protocols; first strictly-greater
                         // wins, so protocol order breaks exact ties.
                         let mut rate = f64::NEG_INFINITY;
-                        for po in outs.iter() {
+                        for po in outs {
                             if po[i].value > rate {
                                 rate = po[i].value;
                             }
                         }
                         cand.offer(lo + i, rate);
                     }
-                    lo = hi;
                 }
                 Ok(cand)
             })?;

@@ -15,8 +15,10 @@
 //! 2. **Weighted sampling** — each trial draws the three link fades from
 //!    the defensive-mixture tilted sampler
 //!    ([`FadingModel::sample_power_tilted`]), carries the product
-//!    likelihood-ratio weight, and rides the same SoA block kernels as
-//!    every other fading study. The per-trial weighted indicators reduce
+//!    likelihood-ratio weight, and is solved on the same
+//!    [`BlockSolver`] workers as every other fading study. Jobs are
+//!    `(cell, block)` pairs rather than flat ranges, because a block
+//!    never straddles two cells. The per-trial weighted indicators reduce
 //!    into a [`WeightedTailStats`] in trial order, so results are
 //!    **bit-identical at any thread count and any block size**.
 //! 3. **Exact fast path** — where the analytic tail is exact
@@ -39,10 +41,9 @@
 //! [`FadingModel::sample_power_tilted`]: bcc_channel::fading::FadingModel::sample_power_tilted
 //! [`WeightedTailStats`]: bcc_num::stats::WeightedTailStats
 
-use crate::batch::PointBlock;
 use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{BlockSolver, SolveCtx, SolveRequest};
 use crate::protocol::{Protocol, ProtocolMap};
 use crate::scenario::{mix_seed, trial_stream, Evaluator, FadingSpec};
 use crate::tails::analytic_outage;
@@ -497,20 +498,13 @@ impl Evaluator {
         // blocks never straddle cells so every block solves one protocol.
         let blocks_per_cell = trials.div_ceil(bsz);
         let njobs = plans.len() * blocks_per_cell;
-        let worker = || {
-            (
-                SolveCtx::new(),
-                PointBlock::new(),
-                Vec::<SolveOutcome>::new(),
-            )
-        };
         let model = spec.model;
         let job_rows: Vec<Vec<(f64, bool)>> =
-            par::par_map_range(threads, njobs, worker, |(ctx, block, outs), j| {
+            par::par_map_range(threads, njobs, BlockSolver::new, |solver, j| {
                 let plan = &plans[j / blocks_per_cell];
                 let lo = (j % blocks_per_cell) * bsz;
                 let hi = (lo + bsz).min(trials);
-                block.clear();
+                let block = solver.fill();
                 let mut weights = Vec::with_capacity(hi - lo);
                 let state = plan.net.state();
                 for k in lo..hi {
@@ -521,13 +515,12 @@ impl Evaluator {
                     block.push_net(&plan.net.with_state(state.faded(fab, far, fbr)));
                     weights.push(wab * war * wbr);
                 }
-                block.compute_caps();
-                outs.clear();
-                ctx.solve_block(block, SolveRequest::sum_rate(plan.protocol), outs)
+                let outs = solver
+                    .solve(&[SolveRequest::sum_rate(plan.protocol)])
                     .expect("closed-form batch solve is infallible");
                 weights
                     .iter()
-                    .zip(outs.iter())
+                    .zip(&outs[0])
                     .map(|(&w, o)| (w, o.value < plan.target))
                     .collect()
             });

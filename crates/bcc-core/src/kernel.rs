@@ -37,9 +37,8 @@
 //! [`Objective::MaxMin`]), the protocol, the bound side and an optional
 //! QoS floor, and resolves to a [`SolveOutcome`] through
 //! [`SolveCtx::solve_one`] (scalar), [`SolveCtx::solve_block`] (batched
-//! over a [`crate::batch::PointBlock`]) or [`SolveCtx::solve_best`]
-//! (argmax over protocols). The historical per-query methods
-//! (`sum_rate`, `max_min_rate`, …) remain as thin deprecated wrappers.
+//! over a [`PointBlock`]) or [`SolveCtx::solve_best`] (argmax over
+//! protocols).
 //!
 //! # The solve context
 //!
@@ -47,10 +46,20 @@
 //! operating points with **zero heap allocations per point** after
 //! warm-up: a [`bcc_lp::Workspace`] (flat tableau + warm-start bases), a
 //! [`ConstraintBuf`] arena the `*_into` bound builders rebuild in place,
-//! a pooled-row [`Problem`], and a reusable [`Solution`]. The `Scenario`
-//! evaluator, the fading Monte-Carlo fan-outs and the allocation search
-//! all hold one `SolveCtx` per worker thread.
+//! a pooled-row [`Problem`], and a reusable [`Solution`].
+//!
+//! # The blocked driver
+//!
+//! Every comparison in the workspace solves a batch of independent
+//! networks, so one driver serves them all: a [`BlockSolver`] per worker
+//! (a `SolveCtx`, a [`PointBlock`] and one outcome column per request),
+//! and [`par_blocks`] to fan block-sized index ranges across workers.
+//! The single- and multi-pair sweeps, the fade sampler both evaluators
+//! share and `bcc-serve`'s drain use `par_blocks`; the city sweep and
+//! the deep-outage sampler keep their own job index and use
+//! `BlockSolver` directly.
 
+use crate::batch::PointBlock;
 use crate::bounds::{self, LinkCaps};
 use crate::constraint::{ConstraintBuf, ConstraintSet, PhaseVec};
 use crate::error::CoreError;
@@ -58,6 +67,7 @@ use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol};
 use bcc_lp::{Problem, Relation, Sense, Solution, Workspace};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Process-wide count of solves served by the closed-form kernel (the
@@ -662,11 +672,11 @@ impl SolveCtx {
     /// # Panics
     ///
     /// Panics if the request is batchable (or HBC max–min over the inner
-    /// bound) and [`crate::batch::PointBlock::compute_caps`] has not run
+    /// bound) and [`PointBlock::compute_caps`] has not run
     /// since the block's last push.
     pub fn solve_block(
         &mut self,
-        block: &crate::batch::PointBlock,
+        block: &PointBlock,
         req: SolveRequest,
         out: &mut Vec<SolveOutcome>,
     ) -> Result<(), CoreError> {
@@ -840,104 +850,88 @@ impl SolveCtx {
     }
 }
 
-/// Thin deprecated wrappers over the consolidated [`SolveRequest`] API —
-/// kept one release for downstream callers; each forwards to the same
-/// private implementation the new entry points use, so behaviour (and
-/// bit patterns) are unchanged.
-impl SolveCtx {
-    /// Optimal achievable sum rate of `protocol` at `net`.
+/// The per-worker state of a blocked fan-out: a [`SolveCtx`], a reusable
+/// [`PointBlock`] and one outcome column per request. Every blocked
+/// driver in the workspace runs on it, most through [`par_blocks`].
+///
+/// A job [`fill`](BlockSolver::fill)s the block with its points and then
+/// [`solve`](BlockSolver::solve)s its requests over them. Each point's
+/// outcome depends only on that point (the [`SolveCtx::solve_block`]
+/// contract), so results are bit-identical at any block size.
+#[derive(Debug, Default)]
+pub struct BlockSolver {
+    ctx: SolveCtx,
+    block: PointBlock,
+    outs: Vec<Vec<SolveOutcome>>,
+}
+
+impl BlockSolver {
+    /// An empty worker (buffers grow to fit on first use).
+    pub fn new() -> Self {
+        BlockSolver::default()
+    }
+
+    /// The worker's solve context, for per-point solves.
+    pub fn ctx(&mut self) -> &mut SolveCtx {
+        &mut self.ctx
+    }
+
+    /// Clears the block and hands it out to be filled with a job's
+    /// points.
+    pub fn fill(&mut self) -> &mut PointBlock {
+        self.block.clear();
+        &mut self.block
+    }
+
+    /// Computes the block's capacity lanes, then runs one
+    /// [`SolveCtx::solve_block`] per request. Returns one column per
+    /// request, in request order, each in block order.
     ///
     /// # Errors
     ///
-    /// Propagates LP failures (not expected for valid inputs).
-    #[deprecated(note = "use SolveCtx::solve_one with SolveRequest::sum_rate(protocol)")]
-    pub fn sum_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SumRateSolution, CoreError> {
-        self.sum_rate_impl(net, protocol)
+    /// The first failing request's error (see [`SolveCtx::solve_block`]).
+    pub fn solve(&mut self, requests: &[SolveRequest]) -> Result<&[Vec<SolveOutcome>], CoreError> {
+        self.block.compute_caps();
+        if self.outs.len() < requests.len() {
+            self.outs.resize_with(requests.len(), Vec::new);
+        }
+        for (out, &req) in self.outs.iter_mut().zip(requests) {
+            out.clear();
+            self.ctx.solve_block(&self.block, req, out)?;
+        }
+        Ok(&self.outs[..requests.len()])
     }
+}
 
-    /// Sum rate of `(protocol, bound)` with an optional QoS floor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures; with a floor, an infeasibility error means
-    /// the floor is unachievable at this operating point.
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::sum_rate(protocol).with_bound(..).with_floor(..)"
-    )]
-    pub fn sum_rate_for(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<SumRateSolution, CoreError> {
-        self.sum_rate_for_impl(net, protocol, bound, floor)
-    }
-
-    /// Optimal achievable max–min operating point of `protocol` at `net`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures (not expected for valid inputs).
-    #[deprecated(note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol)")]
-    pub fn max_min_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SchedulePoint, CoreError> {
-        self.max_min_rate_impl(net, protocol)
-    }
-
-    /// Max–min rate of `(protocol, bound)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures.
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol).with_bound(..)"
-    )]
-    pub fn max_min_for(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-    ) -> Result<SchedulePoint, CoreError> {
-        self.max_min_for_impl(net, protocol, bound)
-    }
-
-    /// Selects the best protocol at `net` by optimal sum rate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-infeasibility LP failures.
-    #[deprecated(note = "use SolveCtx::solve_best with Objective::SumRate")]
-    pub fn best_sum_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocols: &[Protocol],
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<Option<SumRateSolution>, CoreError> {
-        Ok(self
-            .solve_best(net, protocols, Objective::SumRate, bound, floor)?
-            .map(|o| o.sum_rate_solution()))
-    }
-
-    /// The ε-outage allocation objective of one fade draw: twice the
-    /// max–min rate (equal-rate sum) of `protocol` at `net`, with a deep-
-    /// fade LP failure counting as rate 0 (the Monte-Carlo convention).
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol) and map 2·value"
-    )]
-    pub fn equal_rate_sum(&mut self, net: &GaussianNetwork, protocol: Protocol) -> f64 {
-        self.max_min_rate_impl(net, protocol)
-            .map(|pt| 2.0 * pt.objective)
-            .unwrap_or(0.0)
-    }
+/// Runs `job` over `0..n` in `block`-sized index ranges, fanned across
+/// `threads` workers with one [`BlockSolver`] each, and returns the
+/// results in range order.
+///
+/// The ranges come in order, each `block` long except possibly the
+/// last, and cover `0..n` exactly once. Scheduling goes through
+/// [`bcc_num::par::try_par_map_range`], so a job's result must depend
+/// only on its range (never on what its worker solved before); then the
+/// output is bit-identical at any thread count.
+///
+/// # Errors
+///
+/// The error of the lowest failing range, at any thread count: the one
+/// a serial run would hit first.
+///
+/// # Panics
+///
+/// Panics if `block == 0`. A panic inside `job` propagates after the
+/// batch, lowest range first.
+pub fn par_blocks<R, F>(threads: usize, n: usize, block: usize, job: F) -> Result<Vec<R>, CoreError>
+where
+    R: Send,
+    F: Fn(&mut BlockSolver, Range<usize>) -> Result<R, CoreError> + Sync,
+{
+    assert!(block >= 1, "need at least one point per block");
+    bcc_num::par::try_par_map_range(threads, n.div_ceil(block), BlockSolver::new, |solver, j| {
+        let lo = j * block;
+        job(solver, lo..n.min(lo + block))
+    })
 }
 
 #[cfg(test)]
@@ -1169,35 +1163,74 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_typed_api() {
+    fn par_blocks_ranges_are_ordered_and_cover_exactly_once() {
+        for n in [0usize, 1, 1023, 1024, 1025] {
+            for block in [1usize, 7, 1024] {
+                for threads in [1usize, 4] {
+                    let ranges = par_blocks(threads, n, block, |_, r| Ok(r)).unwrap();
+                    assert_eq!(ranges.len(), n.div_ceil(block), "n {n} block {block}");
+                    let mut next = 0;
+                    for (j, r) in ranges.iter().enumerate() {
+                        assert_eq!(r.start, next, "n {n} block {block} range {j}");
+                        if j + 1 < ranges.len() {
+                            assert_eq!(r.len(), block, "n {n} block {block} range {j}");
+                        } else {
+                            assert!((1..=block).contains(&r.len()), "n {n} block {block}");
+                        }
+                        next = r.end;
+                    }
+                    assert_eq!(next, n, "n {n} block {block} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn par_blocks_reports_the_lowest_failing_range() {
+        for threads in [1usize, 4] {
+            let err = par_blocks(threads, 200, 7, |_, r| {
+                if r.start >= 63 && r.start % 2 == 1 {
+                    Err(CoreError::InvalidInput {
+                        context: format!("range at {}", r.start),
+                    })
+                } else {
+                    Ok(r.len())
+                }
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::InvalidInput {
+                    context: "range at 63".into()
+                },
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_solver_returns_only_the_requested_columns() {
+        let nets = [fig4(1.0), fig4(10.0), net(5.0, 1.0, 0.2, 4.0)];
+        let requests = [
+            SolveRequest::sum_rate(Protocol::Hbc),
+            SolveRequest::max_min(Protocol::Tdbc),
+            SolveRequest::sum_rate(Protocol::Mabc).with_bound(Bound::Outer),
+        ];
+        let mut solver = BlockSolver::new();
         let mut ctx = SolveCtx::new();
-        let n = fig4(10.0);
-        for proto in Protocol::ALL {
-            let old = ctx.sum_rate(&n, proto).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::sum_rate(proto))
-                .unwrap()
-                .sum_rate_solution();
-            assert_eq!(old, new, "sum_rate wrapper drifted for {proto}");
-            let old = ctx.sum_rate_for(&n, proto, Bound::Outer, None).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::sum_rate(proto).with_bound(Bound::Outer))
-                .unwrap()
-                .sum_rate_solution();
-            assert_eq!(old, new, "sum_rate_for wrapper drifted for {proto}");
-            let old = ctx.max_min_for(&n, proto, Bound::Inner).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::max_min(proto))
-                .unwrap()
-                .schedule_point();
-            assert_eq!(old, new, "max_min_for wrapper drifted for {proto}");
-            let old = ctx.equal_rate_sum(&n, proto);
-            let new = ctx
-                .solve_one(&n, SolveRequest::max_min(proto))
-                .map(|o| 2.0 * o.value)
-                .unwrap_or(0.0);
-            assert_eq!(old.to_bits(), new.to_bits(), "equal_rate_sum drifted");
+        for take in [3usize, 1, 2] {
+            let block = solver.fill();
+            for n in &nets {
+                block.push_net(n);
+            }
+            let cols = solver.solve(&requests[..take]).unwrap();
+            assert_eq!(cols.len(), take);
+            for (col, &req) in cols.iter().zip(&requests) {
+                assert_eq!(col.len(), nets.len());
+                for (got, n) in col.iter().zip(&nets) {
+                    assert_eq!(*got, ctx.solve_one(n, req).unwrap(), "{req:?}");
+                }
+            }
         }
     }
 

@@ -69,15 +69,18 @@
 //! let shared = result.sum_rate(Protocol::Hbc, 0, Schedule::TimeShare);
 //! assert!(joint >= shared - 1e-12, "joint scheduling dominates");
 //! ```
+//!
+//! [`SolveCtx`]: crate::kernel::SolveCtx
 
+use crate::batch::DEFAULT_BLOCK;
 use crate::error::CoreError;
 use crate::gaussian::{GaussianNetwork, SumRateSolution};
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{par_blocks, SolveOutcome, SolveRequest};
 use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol, ProtocolMap};
-use crate::scenario::{mix_seed, trial_stream, FadingSpec, Scenario};
+use crate::scenario::{fading_samples, FadingSpec, Scenario};
 use bcc_channel::fading::FadingModel;
-use bcc_num::{par, Db};
+use bcc_num::Db;
 
 /// `K` terminal pairs sharing one half-duplex relay: each pair carries
 /// its own gains and per-node powers as a full [`GaussianNetwork`]
@@ -371,8 +374,8 @@ impl Scenario {
 }
 
 /// The compiled form of a [`MultiPairScenario`]: fans the flattened
-/// `point × pair × protocol` grid across scoped worker threads, one
-/// [`SolveCtx`] per worker.
+/// `point × pair` network list across scoped worker threads in blocks,
+/// one [`BlockSolver`](crate::kernel::BlockSolver) per worker.
 #[derive(Debug)]
 pub struct MultiPairEvaluator {
     scenario: MultiPairScenario,
@@ -402,94 +405,56 @@ impl MultiPairEvaluator {
     }
 
     /// Runs the batched multi-pair evaluation: per grid point, pair and
-    /// protocol, the pair's per-unit-time sum-rate and max–min optima,
-    /// fanned across the worker pool as one flat
-    /// `point × pair × protocol` job grid (a single-point `K`-pair
-    /// comparison still parallelises). Aggregates for either
+    /// protocol, the pair's per-unit-time sum-rate and max–min optima.
+    /// The flattened `point × pair` network list is fanned across the
+    /// worker pool in [`DEFAULT_BLOCK`]-sized blocks by [`par_blocks`],
+    /// and [`solve_block`](crate::kernel::SolveCtx::solve_block) runs
+    /// each request on the lane kernels where it can and point by point
+    /// otherwise (HBC's max–min, outer bounds). Aggregates for either
     /// [`Schedule`] are closed-form views over these solves.
     ///
     /// # Errors
     ///
-    /// Propagates LP failures. Unlike the single-pair sweep there is no
-    /// infeasibility skip machinery: multi-pair scenarios carry no QoS
-    /// floors, and well-posed Gaussian inputs are always feasible.
+    /// Propagates LP failures; when several points fail, the error is
+    /// the first one of the lowest failing block, at any thread count.
+    /// Unlike the single-pair sweep there is no infeasibility skip
+    /// machinery: multi-pair scenarios carry no QoS floors, and
+    /// well-posed Gaussian inputs are always feasible.
     pub fn sweep(&mut self) -> Result<MultiPairResult, CoreError> {
         let threads = self.thread_count();
         let sc = &self.scenario;
-        let (k, nproto) = (sc.k, sc.protocols.len());
-        let flat: Vec<PairSolution> = if sc.bound == Bound::Inner {
-            // Inner-bound sweeps run the flattened `point × pair` net list
-            // through the SoA lane kernels in [`PointBlock`]-sized jobs;
-            // `solve_block` covers HBC's max–min (no closed form) from the
-            // same capacity lanes via the warm simplex. Bit-identical to
-            // the scalar path at any block size or thread count.
-            let nets = sc.points.len() * k;
-            let bsz = crate::batch::DEFAULT_BLOCK;
-            let nblocks = nets.div_ceil(bsz);
-            let worker = || {
-                (
-                    SolveCtx::new(),
-                    crate::batch::PointBlock::new(),
-                    vec![Vec::<SolveOutcome>::new(); nproto],
-                    vec![Vec::<SolveOutcome>::new(); nproto],
-                )
+        let (k, nets) = (sc.k, sc.points.len() * sc.k);
+        let requests: Vec<SolveRequest> = sc
+            .protocols
+            .iter()
+            .flat_map(|&p| [SolveRequest::sum_rate(p), SolveRequest::max_min(p)])
+            .map(|req| req.with_bound(sc.bound))
+            .collect();
+        // Each block returns one column of pair solutions per protocol.
+        let mut blocks = par_blocks(threads, nets, DEFAULT_BLOCK, |solver, range| {
+            let block = solver.fill();
+            for idx in range {
+                block.push_net(sc.points[idx / k].1.get(idx % k));
+            }
+            let outs = solver.solve(&requests)?;
+            let solution = |(sum, fair): (&SolveOutcome, &SolveOutcome)| PairSolution {
+                sum: sum.sum_rate_solution(),
+                fair: fair.schedule_point(),
             };
-            let blocks: Vec<Vec<PairSolution>> =
-                par::try_par_map_range(threads, nblocks, worker, |(ctx, block, sums, mms), j| {
-                    let lo = j * bsz;
-                    let hi = (lo + bsz).min(nets);
-                    block.clear();
-                    for idx in lo..hi {
-                        block.push_net(sc.points[idx / k].1.get(idx % k));
-                    }
-                    block.compute_caps();
-                    for (pi, &p) in sc.protocols.iter().enumerate() {
-                        sums[pi].clear();
-                        mms[pi].clear();
-                        ctx.solve_block(block, SolveRequest::sum_rate(p), &mut sums[pi])?;
-                        ctx.solve_block(block, SolveRequest::max_min(p), &mut mms[pi])?;
-                    }
-                    // Interleave back to (point, pair, protocol)-major.
-                    let mut out = Vec::with_capacity((hi - lo) * nproto);
-                    for i in 0..hi - lo {
-                        for pi in 0..nproto {
-                            out.push(PairSolution {
-                                sum: sums[pi][i].sum_rate_solution(),
-                                fair: mms[pi][i].schedule_point(),
-                            });
-                        }
-                    }
-                    Ok(out)
-                })?;
-            blocks.into_iter().flatten().collect()
-        } else {
-            let jobs = sc.points.len() * k * nproto;
-            par::try_par_map_range(threads, jobs, SolveCtx::new, |ctx, j| {
-                let point = j / (k * nproto);
-                let pair = (j / nproto) % k;
-                let protocol = sc.protocols[j % nproto];
-                let net = sc.points[point].1.get(pair);
-                let sum = ctx
-                    .solve_one(net, SolveRequest::sum_rate(protocol).with_bound(sc.bound))?
-                    .sum_rate_solution();
-                let fair = ctx
-                    .solve_one(net, SolveRequest::max_min(protocol).with_bound(sc.bound))?
-                    .schedule_point();
-                Ok(PairSolution { sum, fair })
-            })?
-        };
+            Ok(outs
+                .chunks(2)
+                .map(|c| c[0].iter().zip(&c[1]).map(solution).collect::<Vec<_>>())
+                .collect::<Vec<_>>())
+        })?;
 
-        // Reassemble protocol-major: solutions[protocol][point * K + pair].
+        // Concatenate protocol-major: solutions[protocol][point * K + pair].
         let mut solutions: ProtocolMap<Vec<PairSolution>> = ProtocolMap::new();
-        for &p in &sc.protocols {
-            solutions.insert(p, Vec::with_capacity(sc.points.len() * k));
-        }
-        for (j, sol) in flat.into_iter().enumerate() {
-            let protocol = sc.protocols[j % nproto];
-            solutions
-                .get_mut(protocol)
-                .expect("pre-populated")
-                .push(sol);
+        for (pi, &p) in sc.protocols.iter().enumerate() {
+            let mut column = Vec::with_capacity(nets);
+            for block in &mut blocks {
+                column.append(&mut block[pi]);
+            }
+            solutions.insert(p, column);
         }
         Ok(MultiPairResult {
             x_name: sc.x_name.clone(),
@@ -504,9 +469,10 @@ impl MultiPairEvaluator {
     /// trial, one i.i.d. fade per link **per pair** (each pair drawing
     /// from its own decorrelated stream of the master seed, all
     /// protocols sharing a trial's fades), then every pair's optimal sum
-    /// rate under each protocol on the faded networks. Fanned across the
-    /// worker pool as a flat `point × trial` grid; bit-identical at any
-    /// worker count, and for `K = 1` bitwise equal to
+    /// rate under each protocol on the faded networks. The draws come
+    /// from the single-pair evaluator's own sampler over the
+    /// `point * K + pair` network list, so the result is bit-identical at
+    /// any worker count, and for `K = 1` bitwise equal to
     /// [`Evaluator::outage`](crate::scenario::Evaluator::outage).
     ///
     /// LP failures on a faded draw count as rate 0, matching the
@@ -526,87 +492,20 @@ impl MultiPairEvaluator {
             .scenario
             .fading
             .expect("scenario has no fading model; attach one with MultiPairScenario::fading(...)");
-        let threads = self.thread_count();
         let sc = &self.scenario;
-        let (k, nproto) = (sc.k, sc.protocols.len());
-        let trials = spec.trials;
-        // One seed stream per (point, pair) super-index, matching the
-        // single-pair evaluator's convention exactly when K = 1: a lone
-        // stream uses the master seed itself (the classic `McConfig`
-        // stream), additional streams decorrelate through `mix_seed`.
-        let single = sc.points.len() * k == 1;
-
-        // Fan the flattened `point × trial × pair` fade space across the
-        // workers in [`PointBlock`]-sized chunks; every faded draw is
-        // solved through the closed-form lane kernels (fading always
-        // studies the inner optimum). Per-(point, pair, trial) seed
-        // streams make each flat index independent of its blockmates, so
-        // the blocked fan-out is bit-identical to the serial loop at any
-        // block size or thread count.
-        let total = sc.points.len() * trials * k;
-        let bsz = crate::batch::DEFAULT_BLOCK;
-        let nblocks = total.div_ceil(bsz);
-        let worker = || {
-            (
-                SolveCtx::new(),
-                crate::batch::PointBlock::new(),
-                vec![Vec::<SolveOutcome>::new(); nproto],
-            )
-        };
-        let blocks: Vec<Vec<f64>> =
-            par::par_map_range(threads, nblocks, worker, |(ctx, block, outs), b| {
-                let lo = b * bsz;
-                let hi = (lo + bsz).min(total);
-                block.clear();
-                for m in lo..hi {
-                    let (point, trial, pair) = (m / (trials * k), (m / k) % trials, m % k);
-                    let net = sc.points[point].1.get(pair);
-                    let stream_seed = if single {
-                        spec.seed
-                    } else {
-                        mix_seed(spec.seed, (point * k + pair) as u64)
-                    };
-                    let mut rng = trial_stream(stream_seed, trial as u64);
-                    let faded = net.with_state(net.state().faded(
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                    ));
-                    block.push_net(&faded);
-                }
-                block.compute_caps();
-                for (pi, &p) in sc.protocols.iter().enumerate() {
-                    outs[pi].clear();
-                    ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
-                        .expect("closed-form batch solve is infallible");
-                }
-                let mut rates = Vec::with_capacity((hi - lo) * nproto);
-                for i in 0..hi - lo {
-                    for lane in outs.iter() {
-                        rates.push(lane[i].value);
-                    }
-                }
-                rates
-            });
-
-        let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
-        for &p in &sc.protocols {
-            samples.insert(p, vec![Vec::with_capacity(trials); sc.points.len() * k]);
-        }
-        for (m, chunk) in blocks
-            .iter()
-            .flat_map(|block| block.chunks(nproto))
-            .enumerate()
-        {
-            let (point, pair) = (m / (trials * k), m % k);
-            for (&p, &rate) in sc.protocols.iter().zip(chunk) {
-                samples.get_mut(p).expect("pre-populated")[point * k + pair].push(rate);
-            }
-        }
+        let nets: Vec<GaussianNetwork> =
+            sc.points.iter().flat_map(|p| p.1.iter().copied()).collect();
+        let samples = fading_samples(
+            self.thread_count(),
+            &nets,
+            &sc.protocols,
+            &spec,
+            DEFAULT_BLOCK,
+        );
         Ok(MultiPairOutage {
             x_name: sc.x_name.clone(),
             xs: sc.points.iter().map(|p| p.0).collect(),
-            k,
+            k: sc.k,
             spec,
             protocols: sc.protocols.clone(),
             samples,

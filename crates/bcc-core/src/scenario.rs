@@ -54,10 +54,9 @@
 //! assert!((dt.sum_rates()[0] - dt.sum_rates()[18]).abs() < 1e-8);
 //! ```
 
-use crate::batch::PointBlock;
 use crate::error::CoreError;
 use crate::gaussian::{GaussianNetwork, SumRateSolution};
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{par_blocks, SolveCtx, SolveRequest};
 use crate::protocol::{Bound, Protocol, ProtocolMap};
 use crate::region::{RatePoint, RateRegion};
 use bcc_channel::fading::FadingModel;
@@ -532,8 +531,12 @@ impl Evaluator {
             .unwrap_or_else(bcc_num::par::thread_count)
     }
 
-    /// Runs the batched sum-rate evaluation over the whole grid, grid
-    /// points fanned across the worker pool.
+    /// Runs the batched sum-rate evaluation over the whole grid, in
+    /// [`Scenario::block_size`]-point blocks fanned across the worker pool
+    /// by [`par_blocks`]. A block runs the lane kernels when every request
+    /// is batchable (inner bound, no floor) and no point in it is poisoned
+    /// by the fault plan; otherwise it solves point by point, each point
+    /// under its own fault scope.
     ///
     /// A grid point whose LP is *infeasible* does not abort the batch: the
     /// affected protocol's entry becomes a NaN placeholder and the solve is
@@ -544,107 +547,63 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Propagates non-infeasibility LP failures; returns
-    /// [`CoreError::NoFiniteOptimum`] if every protocol's optimum at some
-    /// grid point is non-finite without any solve having been skipped.
+    /// Propagates non-infeasibility LP failures; when several points fail,
+    /// the error is the first one of the lowest failing block, at any
+    /// thread count. Returns [`CoreError::NoFiniteOptimum`] if every
+    /// protocol's optimum at some grid point is non-finite without any
+    /// solve having been skipped.
     pub fn sweep(&mut self) -> Result<SweepResult, CoreError> {
         let threads = self.thread_count();
         let sc = &self.scenario;
         let protocols = sc.protocols.clone();
         let npoints = sc.points.len();
         let nproto = protocols.len();
-
-        // Inner-bound sweeps without a QoS floor are fully closed-form, so
-        // the grid runs through the SoA lane kernels: one job per
-        // [`PointBlock`], each worker reusing its block and per-protocol
-        // scratch across jobs. Every point is solved independently of its
-        // blockmates, so the results are bit-identical to the scalar path
-        // at any block size or thread count. Outer bounds and floored
-        // sweeps keep the per-point simplex fan-out.
-        let batchable = protocols.iter().all(|&p| sc.sum_request(p).is_batchable());
+        let requests: Vec<SolveRequest> = protocols.iter().map(|&p| sc.sum_request(p)).collect();
+        let batchable = requests.iter().all(SolveRequest::is_batchable);
         let plan = sc.faults;
-        let flat: Vec<Result<SumRateSolution, CoreError>> = if batchable {
-            let bsz = sc.effective_block_size();
-            let nblocks = npoints.div_ceil(bsz);
-            let worker = || {
-                (
-                    SolveCtx::new(),
-                    PointBlock::new(),
-                    vec![Vec::<SolveOutcome>::new(); nproto],
-                )
-            };
-            let blocks: Vec<Vec<Result<SumRateSolution, CoreError>>> =
-                par::try_par_map_range(threads, nblocks, worker, |(ctx, block, outs), j| {
-                    let lo = j * bsz;
-                    let hi = (lo + bsz).min(npoints);
-                    // Chaos pre-check: a block containing a poisoned
-                    // point falls back to per-point scalar solves, which
-                    // are bitwise-equal to the lane kernels for its
-                    // healthy blockmates — so the poison is contained to
-                    // its own point at any block size. The fate of point
-                    // `i` is a pure function of `(plan, i)`, never of the
-                    // block it happens to share.
-                    if !plan.is_empty() {
-                        let poisoned = (lo..hi).any(|i| {
-                            let _scope = FaultScope::enter(
-                                &plan,
-                                faults::scope_token(plan.seed(), i as u64),
-                            );
-                            faults::site_fated(FaultSite::KernelPoison)
-                        });
-                        if poisoned {
-                            let mut flat = Vec::with_capacity((hi - lo) * nproto);
-                            for i in lo..hi {
-                                let _scope = FaultScope::enter(
-                                    &plan,
-                                    faults::scope_token(plan.seed(), i as u64),
-                                );
-                                for &p in protocols.iter() {
-                                    flat.push(classify_solve(sc.solve_point_with(
-                                        &sc.points[i].net,
-                                        p,
-                                        ctx,
-                                    ))?);
-                                }
-                            }
-                            return Ok(flat);
-                        }
-                    }
-                    block.clear();
-                    for pt in &sc.points[lo..hi] {
-                        block.push_net(&pt.net);
-                    }
-                    block.compute_caps();
-                    for (pi, &p) in protocols.iter().enumerate() {
-                        outs[pi].clear();
-                        ctx.solve_block(block, sc.sum_request(p), &mut outs[pi])?;
-                    }
-                    // Interleave back to the (point, protocol)-major order
-                    // the assembly loop expects.
-                    let mut flat = Vec::with_capacity((hi - lo) * nproto);
-                    for i in 0..hi - lo {
-                        for lane in outs.iter() {
-                            flat.push(Ok(lane[i].sum_rate_solution()));
-                        }
-                    }
-                    Ok(flat)
-                })?;
-            blocks.into_iter().flatten().collect()
-        } else {
-            // Fan the flat `point × protocol` grid across the workers — no
-            // per-point collection vector, so the only steady-state
-            // allocations are the chunked result buffers the scheduler
-            // amortises across many solves.
-            par::try_par_map_range(threads, npoints * nproto, SolveCtx::new, |ctx, k| {
-                let point = k / nproto;
-                let net = &sc.points[point].net;
-                // Scope keyed per *point* (not per flat item), so every
-                // protocol of a poisoned point shares one fate.
-                let _scope =
-                    FaultScope::enter(&plan, faults::scope_token(plan.seed(), point as u64));
-                classify_solve(sc.solve_point_with(net, sc.protocols[k % nproto], ctx))
-            })?
+        // The fault scope of point `i`: its fate is a pure function of
+        // `(plan, i)`, never of the block it happens to share.
+        let scope = |i: usize| FaultScope::enter(&plan, faults::scope_token(plan.seed(), i as u64));
+        let poisoned = |i: usize| {
+            let _scope = scope(i);
+            faults::site_fated(FaultSite::KernelPoison)
         };
+
+        // One job per block, in one of two ways. Inner-bound floor-free
+        // blocks run the SoA lane kernels. Requests that are not
+        // batchable (floors, outer bounds), and blocks holding a poisoned
+        // point, solve per point under the point's fault scope, so a
+        // fault stays contained to its own point. The per-point solves
+        // are bitwise equal to the lane kernels, so either way each
+        // point's result is independent of its blockmates: bit-identical
+        // at any block size or thread count.
+        let bsz = sc.effective_block_size();
+        let blocks = par_blocks(threads, npoints, bsz, |solver, range| {
+            let mut flat = Vec::with_capacity(range.len() * nproto);
+            if !batchable || (!plan.is_empty() && range.clone().any(poisoned)) {
+                for i in range {
+                    for &p in &protocols {
+                        // Entered per protocol, so each solve sees the
+                        // point's fault stream from its first draw.
+                        let _scope = scope(i);
+                        let sol = sc.solve_point_with(&sc.points[i].net, p, solver.ctx());
+                        flat.push(classify_solve(sol)?);
+                    }
+                }
+                return Ok(flat);
+            }
+            let block = solver.fill();
+            for pt in &sc.points[range.clone()] {
+                block.push_net(&pt.net);
+            }
+            let outs = solver.solve(&requests)?;
+            // Interleave back to the (point, protocol)-major order the
+            // assembly loop expects.
+            for i in 0..range.len() {
+                flat.extend(outs.iter().map(|lane| Ok(lane[i].sum_rate_solution())));
+            }
+            Ok(flat)
+        })?;
 
         let mut series: ProtocolMap<ProtocolSeries> = ProtocolMap::new();
         for &p in &protocols {
@@ -658,7 +617,7 @@ impl Evaluator {
         }
         let mut winners = Vec::with_capacity(npoints);
         let mut skipped = Vec::new();
-        let mut flat = flat.into_iter();
+        let mut flat = blocks.into_iter().flatten();
         for i in 0..npoints {
             let x = sc.points[i].x;
             let mut winner: Option<(Protocol, f64)> = None;
@@ -829,10 +788,8 @@ impl Evaluator {
     }
 
     /// The shared Monte-Carlo core of [`Evaluator::outage`] and
-    /// [`Evaluator::dmt`]: per grid point and trial, one i.i.d. fade per
-    /// link, then every selected protocol's optimal sum rate on the faded
-    /// network, fanned across the worker pool as a flat `point × trial`
-    /// grid. Returns `samples[protocol][point][trial]`.
+    /// [`Evaluator::dmt`]: [`fading_samples`] over the grid's networks.
+    /// Returns `samples[protocol][point][trial]`.
     pub(crate) fn fading_sum_rate_samples(&self) -> (FadingSpec, ProtocolMap<Vec<Vec<f64>>>) {
         assert!(
             self.scenario.rate_floor.is_none(),
@@ -844,88 +801,86 @@ impl Evaluator {
             .scenario
             .fading
             .expect("scenario has no fading model; attach one with Scenario::fading(...)");
-        let threads = self.thread_count();
         let sc = &self.scenario;
-        let protocols = &sc.protocols;
-        let points = &sc.points;
-        let single = points.len() == 1;
-        let trials = spec.trials;
-
-        // Fan the full `point × trial` grid across the workers in
-        // [`PointBlock`]-sized chunks (a single-point 10k-trial study must
-        // still parallelise). Flat index `k` is point `k / trials`, trial
-        // `k % trials`; the per-trial seed streams make every index
-        // independent of its blockmates, so the blocked fan-out is exactly
-        // the serial loop flattened — bit-identical at any block size or
-        // thread count. Fading always solves the unconstrained inner
-        // optimum (the assert above), so every draw takes the closed-form
-        // lane kernels.
-        let total = points.len() * trials;
-        let bsz = sc.effective_block_size();
-        let nblocks = total.div_ceil(bsz);
-        let nproto = protocols.len();
-        let worker = || {
-            (
-                SolveCtx::new(),
-                PointBlock::new(),
-                vec![Vec::<SolveOutcome>::new(); nproto],
-            )
-        };
-        // Each block returns one column of rates per protocol.
-        let blocks: Vec<Vec<Vec<f64>>> =
-            par::par_map_range(threads, nblocks, worker, |(ctx, block, outs), j| {
-                let lo = j * bsz;
-                let hi = (lo + bsz).min(total);
-                block.clear();
-                for k in lo..hi {
-                    let GridPoint { net, .. } = points[k / trials];
-                    // Keep the classic single-point stream bit-compatible
-                    // with `McConfig::trial_rng`; decorrelate additional
-                    // points.
-                    let point_seed = if single {
-                        spec.seed
-                    } else {
-                        mix_seed(spec.seed, (k / trials) as u64)
-                    };
-                    let mut rng = trial_stream(point_seed, (k % trials) as u64);
-                    let faded_net = net.with_state(net.state().faded(
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                    ));
-                    block.push_net(&faded_net);
-                }
-                block.compute_caps();
-                for (pi, &p) in protocols.iter().enumerate() {
-                    outs[pi].clear();
-                    ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
-                        .expect("closed-form batch solve is infallible");
-                }
-                outs.iter()
-                    .map(|lane| lane.iter().map(|o| o.value).collect())
-                    .collect()
-            });
-
-        // Append each block's columns to the grid points they cover; a
-        // block can straddle a point boundary.
-        let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
-        for &p in protocols {
-            samples.insert(p, vec![Vec::with_capacity(trials); points.len()]);
-        }
-        for (j, columns) in blocks.into_iter().enumerate() {
-            for (&p, column) in protocols.iter().zip(&columns) {
-                let per_point = samples.get_mut(p).expect("pre-populated");
-                let (mut k, mut rest) = (j * bsz, &column[..]);
-                while !rest.is_empty() {
-                    let take = rest.len().min(trials - k % trials);
-                    per_point[k / trials].extend_from_slice(&rest[..take]);
-                    rest = &rest[take..];
-                    k += take;
-                }
-            }
-        }
+        let nets: Vec<GaussianNetwork> = sc.points.iter().map(|p| p.net).collect();
+        let block = sc.effective_block_size();
+        let samples = fading_samples(self.thread_count(), &nets, &sc.protocols, &spec, block);
         (spec, samples)
     }
+}
+
+/// The fade sampler of both evaluators: per network and trial, one
+/// i.i.d. fade per link (shared across protocols, so per-fade dominance
+/// relations survive into the samples), then every protocol's optimal
+/// sum rate on the faded network. Returns `samples[protocol][net][trial]`.
+///
+/// Network `i` draws trial `t` from `trial_stream(seed_i, t)`, where a
+/// lone network keeps the master seed (the classic `McConfig` stream)
+/// and otherwise `seed_i = mix_seed(seed, i)`. The multi-pair evaluator
+/// lists its networks as `point * K + pair`, which at `K = 1` is the
+/// single-pair grid, so the two reduce to the same draws.
+///
+/// The `net × trial` grid is fanned out by [`par_blocks`]; each draw is
+/// independent of its blockmates, so the samples are bit-identical at
+/// any block size or thread count. Fading always solves the
+/// unconstrained inner optimum, so every draw takes the lane kernels.
+pub(crate) fn fading_samples(
+    threads: usize,
+    nets: &[GaussianNetwork],
+    protocols: &[Protocol],
+    spec: &FadingSpec,
+    block: usize,
+) -> ProtocolMap<Vec<Vec<f64>>> {
+    let trials = spec.trials;
+    let single = nets.len() == 1;
+    let requests: Vec<SolveRequest> = protocols
+        .iter()
+        .map(|&p| SolveRequest::sum_rate(p))
+        .collect();
+    // Each block returns one column of rates per protocol.
+    let blocks = par_blocks(threads, nets.len() * trials, block, |solver, range| {
+        let faded = solver.fill();
+        for k in range {
+            let (i, trial) = (k / trials, k % trials);
+            let seed = if single {
+                spec.seed
+            } else {
+                mix_seed(spec.seed, i as u64)
+            };
+            let mut rng = trial_stream(seed, trial as u64);
+            faded.push_net(&nets[i].with_state(nets[i].state().faded(
+                spec.model.sample_power(&mut rng),
+                spec.model.sample_power(&mut rng),
+                spec.model.sample_power(&mut rng),
+            )));
+        }
+        let outs = solver.solve(&requests)?;
+        Ok(outs
+            .iter()
+            .map(|lane| lane.iter().map(|o| o.value).collect::<Vec<f64>>())
+            .collect::<Vec<_>>())
+    })
+    .expect("closed-form batch solve is infallible");
+
+    // Append each block's columns to the networks they cover; a block
+    // can straddle a network boundary.
+    let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
+    for &p in protocols {
+        samples.insert(p, vec![Vec::with_capacity(trials); nets.len()]);
+    }
+    for (j, columns) in blocks.into_iter().enumerate() {
+        for (&p, column) in protocols.iter().zip(&columns) {
+            let per_net = samples.get_mut(p).expect("pre-populated");
+            let (mut k, mut rest) = (j * block, &column[..]);
+            while !rest.is_empty() {
+                let take = rest.len().min(trials - k % trials);
+                per_net[k / trials].extend_from_slice(&rest[..take]);
+                rest = &rest[take..];
+                k += take;
+            }
+        }
+    }
+    samples
 }
 
 /// One protocol's column of a [`SweepResult`]: the full

@@ -27,10 +27,11 @@ use crate::engine::{
 use crate::quant::QuantKey;
 use crate::query::{Decision, DecisionCore, Priority, Query, Rejected, ServeError, ServedFrom};
 use crate::stats::ServeStats;
-use bcc_core::batch::{PointBlock, DEFAULT_BLOCK};
+use bcc_core::batch::DEFAULT_BLOCK;
+use bcc_core::kernel::par_blocks;
 use bcc_core::protocol::Protocol;
 use bcc_core::{SolveCtx, SolveOutcome, SolveRequest};
-use bcc_num::par::{par_map_indexed_with, par_map_range};
+use bcc_num::par::par_map_indexed_with;
 use std::collections::HashMap;
 
 /// What one drained batch cost — the serving-path counterpart of
@@ -337,10 +338,11 @@ impl Server {
 ///
 /// Inner-bound floor-free misses — the overwhelmingly common shape — are
 /// solved through the SoA lane kernels of [`bcc_core::batch`]: the
-/// snapped networks are packed into [`PointBlock`]s, each block solved
-/// for all four protocols at once, and the per-miss argmax replicates
-/// [`SolveCtx::solve_best`] exactly (strict `>`, earliest protocol wins
-/// ties), so decisions stay bit-identical to the serial engine. Floored
+/// snapped networks are packed into blocks by [`par_blocks`], each block
+/// solved for all four protocols at once, and the per-miss argmax
+/// replicates [`SolveCtx::solve_best`] exactly (strict `>`, earliest
+/// protocol wins ties), so decisions stay bit-identical to the serial
+/// engine. Floored
 /// or outer-bound misses keep the per-miss simplex path. Each returned
 /// [`SolvedMiss`] carries the same cost accounting as the scalar path
 /// (one kernel solve per protocol; zero simplex solves).
@@ -361,50 +363,36 @@ fn solve_misses(threads: usize, misses: &[Query]) -> Vec<SolvedMiss> {
     let mut solved: Vec<Option<SolvedMiss>> = Vec::new();
     solved.resize_with(misses.len(), || None);
 
-    let nblocks = batchable.len().div_ceil(DEFAULT_BLOCK);
-    let worker = || {
-        (
-            SolveCtx::new(),
-            PointBlock::new(),
-            vec![Vec::<SolveOutcome>::new(); Protocol::ALL.len()],
-        )
-    };
-    let blocks: Vec<Vec<SolvedMiss>> =
-        par_map_range(threads, nblocks, worker, |(ctx, block, outs), b| {
-            let lo = b * DEFAULT_BLOCK;
-            let hi = (lo + DEFAULT_BLOCK).min(batchable.len());
-            block.clear();
-            for &mi in &batchable[lo..hi] {
-                block.push_net(&misses[mi].network());
-            }
-            block.compute_caps();
-            for (pi, &p) in Protocol::ALL.iter().enumerate() {
-                outs[pi].clear();
-                ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
-                    .expect("closed-form batch solve is infallible");
-            }
-            (0..hi - lo)
-                .map(|i| {
-                    let mut best: Option<&SolveOutcome> = None;
-                    for lane in outs.iter() {
-                        let out = &lane[i];
-                        if best.is_none_or(|b| out.value > b.value) {
-                            best = Some(out);
-                        }
+    let requests = Protocol::ALL.map(SolveRequest::sum_rate);
+    let blocks = par_blocks(threads, batchable.len(), DEFAULT_BLOCK, |solver, range| {
+        let block = solver.fill();
+        for &mi in &batchable[range.clone()] {
+            block.push_net(&misses[mi].network());
+        }
+        let outs = solver.solve(&requests)?;
+        Ok((0..range.len())
+            .map(|i| {
+                let mut best: Option<&SolveOutcome> = None;
+                for lane in outs {
+                    let out = &lane[i];
+                    if best.is_none_or(|b| out.value > b.value) {
+                        best = Some(out);
                     }
-                    let best = best.expect("Protocol::ALL is non-empty");
-                    SolvedMiss {
-                        outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
-                            &best.sum_rate_solution(),
-                        ))),
-                        kernel_solves: Protocol::ALL.len() as u64,
-                        simplex_solves: 0,
-                        warm_hits: 0,
-                        pivots: 0,
-                    }
-                })
-                .collect()
-        });
+                }
+                let best = best.expect("Protocol::ALL is non-empty");
+                SolvedMiss {
+                    outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
+                        &best.sum_rate_solution(),
+                    ))),
+                    kernel_solves: Protocol::ALL.len() as u64,
+                    simplex_solves: 0,
+                    warm_hits: 0,
+                    pivots: 0,
+                }
+            })
+            .collect::<Vec<_>>())
+    })
+    .expect("closed-form batch solve is infallible");
     for (&mi, miss) in batchable.iter().zip(blocks.into_iter().flatten()) {
         solved[mi] = Some(miss);
     }

@@ -6,7 +6,7 @@
 //! through the classic [`McConfig`] convention: a serial trial-major
 //! loop, one deterministic child stream per `(pair, trial)`, one
 //! [`SolveCtx`] reused across every faded solve. The evaluator instead
-//! fans a flattened `point × trial` grid across worker threads — a
+//! fans a flattened `(point, pair) × trial` grid across worker threads — a
 //! genuinely different driver over the same per-trial arithmetic, which
 //! is exactly what the cross-validation suite wants: under *independent*
 //! seeds the two paths must agree statistically (4σ bands), and under a

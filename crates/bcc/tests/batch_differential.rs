@@ -63,9 +63,11 @@ fn sweep_bits(sweep: &SweepResult) -> Vec<(u64, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `solve_block` against per-point `solve_one`, both objectives, on
-    /// a hand-built block — the kernel-level contract, free of any
-    /// evaluator plumbing.
+    /// `solve_block` against per-point `solve_one`, both objectives and
+    /// both bound families, on a hand-built block — the kernel-level
+    /// contract, free of any evaluator plumbing. Outer-bound requests
+    /// exercise `solve_block`'s per-point fallback, which the multi-pair
+    /// outer sweep runs on.
     #[test]
     fn solve_block_is_bitwise_equal_to_solve_one(
         nets in vec(arb_net(), 1..23),
@@ -80,23 +82,27 @@ proptest! {
         let mut out = Vec::new();
         for proto in Protocol::ALL {
             for objective in [Objective::SumRate, Objective::MaxMin] {
-                let req = match objective {
-                    Objective::SumRate => SolveRequest::sum_rate(proto),
-                    Objective::MaxMin => SolveRequest::max_min(proto),
-                };
-                out.clear();
-                ctx.solve_block(&block, req, &mut out).unwrap();
-                prop_assert_eq!(out.len(), nets.len());
-                for (n, got) in nets.iter().zip(&out) {
-                    let want = ctx.solve_one(n, req).unwrap();
-                    prop_assert_eq!(got.value.to_bits(), want.value.to_bits(),
-                        "{proto} {objective:?} value");
-                    prop_assert_eq!(got.ra.to_bits(), want.ra.to_bits(),
-                        "{proto} {objective:?} ra");
-                    prop_assert_eq!(got.rb.to_bits(), want.rb.to_bits(),
-                        "{proto} {objective:?} rb");
-                    prop_assert_eq!(duration_bits(&got.durations), duration_bits(&want.durations),
-                        "{proto} {objective:?} durations");
+                for bound in [Bound::Inner, Bound::Outer] {
+                    let req = match objective {
+                        Objective::SumRate => SolveRequest::sum_rate(proto),
+                        Objective::MaxMin => SolveRequest::max_min(proto),
+                    }
+                    .with_bound(bound);
+                    out.clear();
+                    ctx.solve_block(&block, req, &mut out).unwrap();
+                    prop_assert_eq!(out.len(), nets.len());
+                    for (n, got) in nets.iter().zip(&out) {
+                        let want = ctx.solve_one(n, req).unwrap();
+                        prop_assert_eq!(got.value.to_bits(), want.value.to_bits(),
+                            "{proto} {objective:?} {bound:?} value");
+                        prop_assert_eq!(got.ra.to_bits(), want.ra.to_bits(),
+                            "{proto} {objective:?} {bound:?} ra");
+                        prop_assert_eq!(got.rb.to_bits(), want.rb.to_bits(),
+                            "{proto} {objective:?} {bound:?} rb");
+                        prop_assert_eq!(
+                            duration_bits(&got.durations), duration_bits(&want.durations),
+                            "{proto} {objective:?} {bound:?} durations");
+                    }
                 }
             }
         }

@@ -106,6 +106,20 @@ fn skip_bookkeeping_is_thread_invariant() {
         let par = scenario.clone().threads(threads).build().sweep().unwrap();
         assert_sweeps_identical(&serial, &par);
     }
+    // Floored sweeps solve point by point inside each block; the skips
+    // must not depend on where the block boundaries fall.
+    for block in [1, 5, 1024] {
+        for threads in [1, 4] {
+            let blocked = scenario
+                .clone()
+                .block_size(block)
+                .threads(threads)
+                .build()
+                .sweep()
+                .unwrap();
+            assert_sweeps_identical(&serial, &blocked);
+        }
+    }
     assert!(!serial.is_complete());
     // Winners and skips agree index-by-index.
     for (i, w) in serial.winners().iter().enumerate() {

@@ -1,8 +1,8 @@
 //! Differential proptests: the `K = 1` multi-pair path must be **bitwise
 //! identical** to the single-pair `Evaluator` it generalises.
 //!
-//! The multi-pair evaluator flattens a `point × pair × protocol` job
-//! grid over per-worker [`SolveCtx`]s and nests per-pair fade streams
+//! The multi-pair evaluator blocks the flattened `point × pair` network
+//! list over per-worker [`SolveCtx`]s and nests per-pair fade streams
 //! into the seeding policy; the single-pair evaluator predates all of
 //! that. For one pair the two *must* collapse to the same arithmetic —
 //! same solver dispatch (kernel vs warm simplex), same seed streams,
