@@ -204,29 +204,22 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// Runs `f` once, returning the solver-mix counter deltas normalised by
 /// `units` (grid points or trials).
 ///
-/// Every measured workload below pins itself to one worker
-/// (`Scenario::threads(1)`), which runs inline on this thread — so the
-/// *thread-local* solver counters capture it completely while staying
-/// immune to anything else the process may be doing (the same helper the
-/// in-process gate tests use; see `bcc_lp::stats::scoped`). The
-/// allocation counter has no thread-local twin, but the binary is
-/// single-threaded outside the parallel timing runs.
+/// The LP and kernel counters are per-thread (see `bcc_num::metrics`),
+/// and every measured workload below pins itself to one worker
+/// (`Scenario::threads(1)`), which runs inline on this thread — so one
+/// scoped read of each set captures it completely. The allocation
+/// counter is process-wide, but the binary is single-threaded outside
+/// the parallel timing runs.
 fn measure_mix(units: usize, f: impl FnOnce()) -> SolveMix {
-    let k0 = bcc_core::kernel::kernel_hits_local();
-    let b0 = bcc_core::batch::stats::batched_points_local();
-    let l0 = bcc_core::batch::stats::lanes_filled_local();
     let a0 = ALLOCS.load(Relaxed);
-    let ((), lp) = bcc_lp::stats::scoped(f);
-    let kernel_hits = bcc_core::kernel::kernel_hits_local() - k0;
-    let batched_points = bcc_core::batch::stats::batched_points_local() - b0;
-    let lanes_filled = bcc_core::batch::stats::lanes_filled_local() - l0;
+    let (((), lp), kernel) = bcc_core::batch::stats::scoped(|| bcc_lp::stats::scoped(f));
     let allocs = ALLOCS.load(Relaxed) - a0;
     SolveMix {
         pivots: lp.pivots,
         warm_hits: lp.warm_hits,
-        kernel_hits,
-        batched_points,
-        lanes_filled,
+        kernel_hits: kernel.kernel_hits,
+        batched_points: kernel.batched_points,
+        lanes_filled: kernel.lanes_filled,
         allocs_per_point: allocs as f64 / units.max(1) as f64,
     }
 }

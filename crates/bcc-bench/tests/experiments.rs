@@ -118,24 +118,29 @@ fn multipair_study_shapes() {
 /// The bench gate's solver-mix assertions (`kernel_hits`, `warm_hits`,
 /// zero-allocation hot loop) are reproducible **in-process** on
 /// miniature versions of the bench-report scenarios, without
-/// `--test-threads=1`: the thread-local counters (`bcc_lp::stats::scoped`,
-/// `kernel_hits_local`) only see this test's own solves even while the
-/// rest of the suite hammers the solver from sibling test threads.
+/// `--test-threads=1`: the per-thread counter sets
+/// (`bcc_lp::stats::scoped`, `bcc_core::batch::stats::scoped`) only see
+/// this test's own solves even while the rest of the suite hammers the
+/// solver from sibling test threads.
 #[test]
 fn bench_gate_counters_observable_in_process() {
     // Miniature fig3 sweep: every protocol has a closed form now, so the
     // batched lane kernels must carry all 4 protocols × 201 points with
     // zero simplex solves.
-    let k0 = bcc_core::kernel::kernel_hits_local();
-    let (_, lp) = bcc_lp::stats::scoped(|| {
-        Scenario::symmetric_gain_sweep_db(15.0, 0.0, (0..=200).map(|k| f64::from(k) * 0.15))
-            .threads(1)
-            .build()
-            .sweep()
-            .unwrap()
+    let ((_, lp), kernel) = bcc_core::batch::stats::scoped(|| {
+        bcc_lp::stats::scoped(|| {
+            Scenario::symmetric_gain_sweep_db(15.0, 0.0, (0..=200).map(|k| f64::from(k) * 0.15))
+                .threads(1)
+                .build()
+                .sweep()
+                .unwrap()
+        })
     });
-    let kernel = bcc_core::kernel::kernel_hits_local() - k0;
-    assert_eq!(kernel, 4 * 201, "the kernel must serve every solve");
+    assert_eq!(
+        kernel.kernel_hits,
+        4 * 201,
+        "the kernel must serve every solve"
+    );
     assert_eq!(lp.solves, 0, "a floor-free inner sweep never touches LP");
 
     // Miniature floored crossover sweep: QoS floors force the simplex,

@@ -74,9 +74,12 @@
 //!
 //! # Counters
 //!
-//! [`stats`] mirrors [`bcc_lp::stats`]: relaxed process-wide atomics
-//! plus race-free thread-local twins, counting points solved through
-//! block kernels and how many of them ran in full-`LANE` chunks.
+//! [`stats`] holds the closed-form kernels' [`bcc_num::metrics`] counter
+//! set, [`stats::KernelStats`]: solves served by a kernel (scalar or
+//! block), points solved through block kernels, and how many of them ran
+//! in full-`LANE` chunks. A block records all three at once, when it
+//! finishes; a scalar entry point records one kernel hit. Counts are
+//! per-thread: read them on the thread that ran the kernels.
 
 use crate::bounds::LinkCaps;
 use crate::constraint::PhaseVec;
@@ -101,50 +104,32 @@ pub const LANE: usize = 4;
 /// to stay cache-resident (13 lanes × 1024 × 8 B ≈ 104 KiB).
 pub const DEFAULT_BLOCK: usize = 1024;
 
-/// Batched-kernel hit counters (the [`bcc_lp::stats`] pattern: relaxed
-/// process-wide atomics plus race-free thread-local twins).
+/// Closed-form kernel counters, a [`bcc_num::metrics`] counter set.
 pub mod stats {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    static BATCHED_POINTS: AtomicU64 = AtomicU64::new(0);
-    static LANES_FILLED: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static BATCHED_POINTS_LOCAL: Cell<u64> = const { Cell::new(0) };
-        static LANES_FILLED_LOCAL: Cell<u64> = const { Cell::new(0) };
+    bcc_num::counter_set! {
+        /// Closed-form kernel counters: a thread's totals, or the delta
+        /// between two of its snapshots.
+        pub struct KernelStats {
+            /// Solves served by the closed-form kernels, scalar or batched
+            /// (no LP at all).
+            pub kernel_hits: u64,
+            /// Points solved through a block kernel.
+            pub batched_points: u64,
+            /// Batched points that ran inside a full
+            /// [`LANE`](super::LANE)-wide chunk (the vectorised share; the
+            /// remainder went through the width-1 scalar tail).
+            pub lanes_filled: u64,
+        }
     }
 
-    /// Process-wide count of points solved through a block kernel.
-    pub fn batched_points() -> u64 {
-        BATCHED_POINTS.load(Relaxed)
-    }
-
-    /// Process-wide count of batched points that ran inside a full
-    /// [`LANE`](super::LANE)-wide chunk (the vectorised share; the
-    /// remainder went through the width-1 scalar tail).
-    pub fn lanes_filled() -> u64 {
-        LANES_FILLED.load(Relaxed)
-    }
-
-    /// Calling-thread twin of [`batched_points`] (race-free; see
-    /// [`crate::kernel::kernel_hits_local`] for the capture caveats).
+    /// The calling thread's [`KernelStats::batched_points`].
     pub fn batched_points_local() -> u64 {
-        BATCHED_POINTS_LOCAL.with(Cell::get)
+        local_snapshot().batched_points
     }
 
-    /// Calling-thread twin of [`lanes_filled`].
+    /// The calling thread's [`KernelStats::lanes_filled`].
     pub fn lanes_filled_local() -> u64 {
-        LANES_FILLED_LOCAL.with(Cell::get)
-    }
-
-    /// Records one block solve of `points` points, `filled` of which ran
-    /// in full-width chunks.
-    pub(super) fn record(points: u64, filled: u64) {
-        BATCHED_POINTS.fetch_add(points, Relaxed);
-        LANES_FILLED.fetch_add(filled, Relaxed);
-        BATCHED_POINTS_LOCAL.with(|c| c.set(c.get() + points));
-        LANES_FILLED_LOCAL.with(|c| c.set(c.get() + filled));
+        local_snapshot().lanes_filled
     }
 }
 
@@ -1512,11 +1497,14 @@ mod simd {
     }
 }
 
-/// Records the per-block bookkeeping: `n` kernel-served solves, with
-/// the full-chunk share on the batch counters.
+/// Records the per-block bookkeeping: `n` kernel-served solves, all of
+/// them batched, with their full-chunk share.
 fn finish_block(n: usize) {
-    stats::record(n as u64, (n - n % LANE) as u64);
-    crate::kernel::record_kernel_hits(n as u64);
+    stats::record(&stats::KernelStats {
+        kernel_hits: n as u64,
+        batched_points: n as u64,
+        lanes_filled: (n - n % LANE) as u64,
+    });
 }
 
 /// Batched closed-form `max_sum_rate`: appends one solution per staged
@@ -1841,14 +1829,16 @@ mod tests {
     fn counters_track_points_and_full_lanes() {
         let nets = grid(); // 13 points: 12 in full lanes, 1 tail
         let b = filled_block(&nets);
-        let p0 = stats::batched_points_local();
-        let f0 = stats::lanes_filled_local();
-        let k0 = kernel::kernel_hits_local();
         let mut out = Vec::new();
-        max_sum_rate_block(&b, Protocol::Hbc, &mut out);
-        assert_eq!(stats::batched_points_local() - p0, 13);
-        assert_eq!(stats::lanes_filled_local() - f0, 12);
-        assert_eq!(kernel::kernel_hits_local() - k0, 13);
+        let ((), d) = stats::scoped(|| max_sum_rate_block(&b, Protocol::Hbc, &mut out));
+        assert_eq!(
+            d,
+            stats::KernelStats {
+                kernel_hits: 13,
+                batched_points: 13,
+                lanes_filled: 12,
+            }
+        );
     }
 
     #[test]

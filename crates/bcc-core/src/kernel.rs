@@ -59,7 +59,7 @@
 //! the deep-outage sampler keep their own job index and use
 //! `BlockSolver` directly.
 
-use crate::batch::PointBlock;
+use crate::batch::{stats, PointBlock};
 use crate::bounds::{self, LinkCaps};
 use crate::constraint::{ConstraintBuf, ConstraintSet, PhaseVec};
 use crate::error::CoreError;
@@ -68,49 +68,13 @@ use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol};
 use bcc_lp::{Problem, Relation, Sense, Solution, Workspace};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Process-wide count of solves served by the closed-form kernel (the
-/// companion of [`bcc_lp::stats`]'s solve counters; `bench-report` reads
-/// deltas of both to report the kernel-vs-simplex mix).
-static KERNEL_HITS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Calling-thread twin of [`KERNEL_HITS`] (see [`kernel_hits_local`]).
-    static KERNEL_HITS_LOCAL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total solves served by the closed-form kernel since process start.
-pub fn kernel_hits() -> u64 {
-    KERNEL_HITS.load(Relaxed)
-}
-
-/// Kernel solves performed **on the calling thread** since it started —
-/// the race-free companion of [`kernel_hits`] for in-process assertions.
-///
-/// The global counter is process-wide, so a delta taken around a workload
-/// in one `cargo test` thread also counts kernel hits from concurrently
-/// running tests. A delta of this thread-local counter counts only the
-/// calling thread's own solves; pin the workload to one worker
-/// (`Scenario::threads(1)` — the serial path runs inline on the caller)
-/// for complete capture. See [`bcc_lp::stats::scoped`] for the matching
-/// LP-side helper.
-pub fn kernel_hits_local() -> u64 {
-    KERNEL_HITS_LOCAL.with(std::cell::Cell::get)
-}
-
-/// Records one kernel-served solve on both the global and the
-/// calling-thread counter.
+/// Records one kernel-served scalar solve.
 fn record_kernel_hit() {
-    KERNEL_HITS.fetch_add(1, Relaxed);
-    KERNEL_HITS_LOCAL.with(|c| c.set(c.get() + 1));
-}
-
-/// Bulk form of [`record_kernel_hit`] for the block kernels: one update
-/// per block instead of one per point.
-pub(crate) fn record_kernel_hits(n: u64) {
-    KERNEL_HITS.fetch_add(n, Relaxed);
-    KERNEL_HITS_LOCAL.with(|c| c.set(c.get() + n));
+    stats::record(&stats::KernelStats {
+        kernel_hits: 1,
+        ..stats::KernelStats::zero()
+    });
 }
 
 /// Closed-form `max_sum_rate` — covers **all four** protocols (DT and

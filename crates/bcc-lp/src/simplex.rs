@@ -1055,19 +1055,20 @@ mod tests {
 
     #[test]
     fn warm_path_actually_fires_on_repeats() {
-        let before = crate::stats::snapshot();
-        let mut ws = Workspace::new();
-        for k in 0..50 {
-            let cap = 1.0 + 0.02 * k as f64;
-            let mut p = Problem::maximize(&[2.0, 1.0]);
-            p.subject_to(&[1.0, 0.0], Relation::Le, cap);
-            p.subject_to(&[0.0, 1.0], Relation::Le, 2.0 * cap);
-            p.subject_to(&[1.0, 1.0], Relation::Le, 2.5 * cap);
-            let s = p.solve_warm_with(&mut ws).expect("feasible");
-            // x = cap binds its own cap, y fills the joint cap: 2·cap + 1.5·cap.
-            assert!((s.objective - 3.5 * cap).abs() < 1e-9);
-        }
-        let d = crate::stats::snapshot().delta_since(&before);
+        let ((), d) = crate::stats::scoped(|| {
+            let mut ws = Workspace::new();
+            for k in 0..50 {
+                let cap = 1.0 + 0.02 * k as f64;
+                let mut p = Problem::maximize(&[2.0, 1.0]);
+                p.subject_to(&[1.0, 0.0], Relation::Le, cap);
+                p.subject_to(&[0.0, 1.0], Relation::Le, 2.0 * cap);
+                p.subject_to(&[1.0, 1.0], Relation::Le, 2.5 * cap);
+                let s = p.solve_warm_with(&mut ws).expect("feasible");
+                // x = cap binds its own cap, y fills the joint cap: 2·cap + 1.5·cap.
+                assert!((s.objective - 3.5 * cap).abs() < 1e-9);
+            }
+        });
+        assert_eq!(d.solves, 50);
         assert!(d.warm_hits >= 40, "warm hits {} too low", d.warm_hits);
     }
 

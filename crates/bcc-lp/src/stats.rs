@@ -1,148 +1,47 @@
-//! Global, lock-free solver counters.
+//! Per-thread solver counters, a [`bcc_num::metrics`] counter set.
 //!
 //! The batch drivers in this workspace fan LP solves across worker
 //! threads whose private [`Workspace`](crate::Workspace)s are created and
 //! dropped inside the parallel region, so per-workspace counters would be
-//! invisible to the caller. Instead the solver increments a small set of
-//! process-wide relaxed atomics — **once per solve**, not per pivot, so
-//! the cost is a few nanoseconds against a microsecond-scale solve — and
-//! diagnostics like `bench-report` read deltas around a workload:
+//! invisible to the caller. Instead the solver records into the calling
+//! thread's [`LpStats`] — **once per solve**, not per pivot — and
+//! diagnostics like `bench-report` read deltas around a workload pinned
+//! to the reading thread:
 //!
 //! ```
 //! use bcc_lp::{Problem, Relation};
 //!
-//! let before = bcc_lp::stats::snapshot();
-//! let mut p = Problem::maximize(&[1.0]);
-//! p.subject_to(&[1.0], Relation::Le, 2.0);
-//! p.solve().unwrap();
-//! let delta = bcc_lp::stats::snapshot().delta_since(&before);
+//! let (_, delta) = bcc_lp::stats::scoped(|| {
+//!     let mut p = Problem::maximize(&[1.0]);
+//!     p.subject_to(&[1.0], Relation::Le, 2.0);
+//!     p.solve().unwrap()
+//! });
 //! assert_eq!(delta.solves, 1);
 //! ```
-//!
-//! The counters are monotone over the process lifetime (no reset — a
-//! racy reset would corrupt concurrent deltas); consumers subtract
-//! snapshots. Relaxed ordering means a snapshot taken *while* solves are
-//! in flight on other threads may miss their in-progress increments;
-//! deltas around a completed workload on the calling thread are exact.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-static SOLVES: AtomicU64 = AtomicU64::new(0);
-static PIVOTS: AtomicU64 = AtomicU64::new(0);
-static WARM_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Calling-thread twins of the global counters (see
-    /// [`local_snapshot`]): each solve increments both, so per-thread
-    /// deltas are immune to solves racing in from other threads.
-    static LOCAL: Cell<LpStats> = const { Cell::new(LpStats::zero()) };
-}
-
-/// A snapshot of the process-wide solver counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LpStats {
-    /// Completed solves (successful or not), warm and cold.
-    pub solves: u64,
-    /// Total simplex pivots across all solves (warm hits contribute 0).
-    pub pivots: u64,
-    /// Warm-start candidates evaluated (a matching basis existed).
-    pub warm_attempts: u64,
-    /// Warm-start candidates accepted — the solve skipped the simplex
-    /// entirely and priced the previous optimal basis instead.
-    pub warm_hits: u64,
-}
-
-impl LpStats {
-    /// The all-zero snapshot (`const` so it can seed a thread-local cell).
-    pub const fn zero() -> LpStats {
-        LpStats {
-            solves: 0,
-            pivots: 0,
-            warm_attempts: 0,
-            warm_hits: 0,
-        }
+bcc_num::counter_set! {
+    /// Solver counters: a thread's totals, or the delta between two of
+    /// its snapshots.
+    pub struct LpStats {
+        /// Completed solves (successful or not), warm and cold.
+        pub solves: u64,
+        /// Total simplex pivots across all solves (warm hits contribute 0).
+        pub pivots: u64,
+        /// Warm-start candidates evaluated (a matching basis existed).
+        pub warm_attempts: u64,
+        /// Warm-start candidates accepted — the solve skipped the simplex
+        /// entirely and priced the previous optimal basis instead.
+        pub warm_hits: u64,
     }
-
-    /// Counter increments since `earlier` (wrapping, so stale snapshots
-    /// cannot panic).
-    pub fn delta_since(&self, earlier: &LpStats) -> LpStats {
-        LpStats {
-            solves: self.solves.wrapping_sub(earlier.solves),
-            pivots: self.pivots.wrapping_sub(earlier.pivots),
-            warm_attempts: self.warm_attempts.wrapping_sub(earlier.warm_attempts),
-            warm_hits: self.warm_hits.wrapping_sub(earlier.warm_hits),
-        }
-    }
-}
-
-/// Reads the current counter values.
-pub fn snapshot() -> LpStats {
-    LpStats {
-        solves: SOLVES.load(Relaxed),
-        pivots: PIVOTS.load(Relaxed),
-        warm_attempts: WARM_ATTEMPTS.load(Relaxed),
-        warm_hits: WARM_HITS.load(Relaxed),
-    }
-}
-
-/// Reads the calling thread's private counter values.
-///
-/// The global [`snapshot`] is process-wide, so a delta taken around a
-/// workload also counts solves performed concurrently by *other* threads
-/// — under `cargo test`'s default parallelism, assertions on global
-/// deltas race. This snapshot counts only solves performed **on the
-/// calling thread** since it started, making in-process assertions
-/// exact without `--test-threads=1`. Pin the measured workload to one
-/// worker (e.g. `Scenario::threads(1)` — the serial path of
-/// `bcc_num::par` runs inline on the caller) so every solve lands on
-/// this thread; solves fanned to spawned workers are counted in *their*
-/// thread-locals, not here.
-pub fn local_snapshot() -> LpStats {
-    LOCAL.with(Cell::get)
-}
-
-/// Runs `f` and returns its result together with the calling thread's
-/// counter delta across the call — the race-free scoped form of
-/// [`local_snapshot`] the bench gate's in-process tests are built on:
-///
-/// ```
-/// use bcc_lp::{Problem, Relation};
-///
-/// let (_, delta) = bcc_lp::stats::scoped(|| {
-///     let mut p = Problem::maximize(&[1.0]);
-///     p.subject_to(&[1.0], Relation::Le, 2.0);
-///     p.solve().unwrap()
-/// });
-/// assert_eq!(delta.solves, 1);
-/// ```
-pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, LpStats) {
-    let before = local_snapshot();
-    let result = f();
-    (result, local_snapshot().delta_since(&before))
 }
 
 /// Records one completed solve (called once per solve by the simplex).
 pub(crate) fn record_solve(pivots: usize, warm_attempted: bool, warm_hit: bool) {
-    SOLVES.fetch_add(1, Relaxed);
-    if pivots > 0 {
-        PIVOTS.fetch_add(pivots as u64, Relaxed);
-    }
-    if warm_attempted {
-        WARM_ATTEMPTS.fetch_add(1, Relaxed);
-    }
-    if warm_hit {
-        WARM_HITS.fetch_add(1, Relaxed);
-    }
-    LOCAL.with(|c| {
-        let s = c.get();
-        c.set(LpStats {
-            solves: s.solves.wrapping_add(1),
-            pivots: s.pivots.wrapping_add(pivots as u64),
-            warm_attempts: s.warm_attempts.wrapping_add(u64::from(warm_attempted)),
-            warm_hits: s.warm_hits.wrapping_add(u64::from(warm_hit)),
-        });
+    record(&LpStats {
+        solves: 1,
+        pivots: pivots as u64,
+        warm_attempts: u64::from(warm_attempted),
+        warm_hits: u64::from(warm_hit),
     });
 }
 
@@ -151,81 +50,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_is_wrapping_and_componentwise() {
-        let a = LpStats {
-            solves: 5,
-            pivots: 100,
-            warm_attempts: 2,
-            warm_hits: 1,
-        };
-        let b = LpStats {
-            solves: 9,
-            pivots: 130,
-            warm_attempts: 6,
-            warm_hits: 2,
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.solves, 4);
-        assert_eq!(d.pivots, 30);
-        assert_eq!(d.warm_attempts, 4);
-        assert_eq!(d.warm_hits, 1);
-        // Wrapping: a stale "later" snapshot must not panic.
-        let _ = a.delta_since(&b);
-    }
-
-    #[test]
     fn counters_move_on_solves() {
         use crate::{Problem, Relation};
-        let before = snapshot();
-        let mut p = Problem::maximize(&[1.0, 1.0]);
-        p.subject_to(&[1.0, 1.0], Relation::Le, 1.0);
-        p.solve().unwrap();
-        let d = snapshot().delta_since(&before);
-        assert!(d.solves >= 1);
+        let (_, d) = scoped(|| {
+            let mut p = Problem::maximize(&[1.0, 1.0]);
+            p.subject_to(&[1.0, 1.0], Relation::Le, 1.0);
+            p.solve().unwrap()
+        });
+        assert_eq!(d.solves, 1);
         assert!(d.pivots >= 1);
-    }
-
-    fn one_solve() {
-        use crate::{Problem, Relation};
-        let mut p = Problem::maximize(&[1.0, 1.0]);
-        p.subject_to(&[1.0, 1.0], Relation::Le, 1.0);
-        p.solve().unwrap();
-    }
-
-    #[test]
-    fn scoped_delta_is_exact_despite_concurrent_solves() {
-        // A noisy peer thread hammers the solver while the scoped
-        // measurement runs; the thread-local delta must still count
-        // exactly the calling thread's own solves.
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Relaxed) {
-                    one_solve();
-                }
-            });
-            let ((), d) = scoped(|| {
-                for _ in 0..7 {
-                    one_solve();
-                }
-            });
-            stop.store(true, Relaxed);
-            assert_eq!(d.solves, 7, "scoped counts exactly this thread's solves");
-            assert!(d.pivots >= 7);
-            assert_eq!(d.warm_attempts, 0, "plain Problem::solve never warm-starts");
-        });
-    }
-
-    #[test]
-    fn local_snapshot_ignores_other_threads() {
-        let before = local_snapshot();
-        std::thread::scope(|scope| {
-            scope.spawn(one_solve).join().unwrap();
-        });
-        assert_eq!(
-            local_snapshot().delta_since(&before),
-            LpStats::zero(),
-            "peer-thread solves must not leak into this thread's counters"
-        );
+        assert_eq!(d.warm_attempts, 0, "plain Problem::solve never warm-starts");
     }
 }

@@ -59,7 +59,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a fault can be injected. Each site is compiled into exactly one
 /// seam of the stack; the table below is the contract the chaos suites
@@ -262,18 +261,6 @@ thread_local! {
     static ACTIVE: RefCell<Vec<ScopeState>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Global injection counters, per site — diagnostics only (relaxed
-/// atomics; never consulted by any decision, so they cannot perturb
-/// determinism).
-static INJECTED: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
 /// RAII guard that makes `plan` the active fault context of the current
 /// thread for one work item. Scopes nest (the innermost wins) and restore
 /// the previous context on drop.
@@ -331,7 +318,7 @@ fn with_scope<R>(f: impl FnOnce(&mut ScopeState) -> R) -> Option<R> {
 /// Answers `false` when no scope is active, the site is disabled, or its
 /// trigger budget for this scope is spent.
 pub fn should_inject(site: FaultSite) -> bool {
-    let fired = with_scope(|s| {
+    with_scope(|s| {
         let spec = s.plan.site(site);
         if !spec.enabled() || s.fires[site.idx()] >= spec.triggers {
             // Still advance the cursor so enabling another site never
@@ -348,11 +335,7 @@ pub fn should_inject(site: FaultSite) -> bool {
             false
         }
     })
-    .unwrap_or(false);
-    if fired {
-        INJECTED[site.idx()].fetch_add(1, Ordering::Relaxed);
-    }
-    fired
+    .unwrap_or(false)
 }
 
 /// The item-bound verdict for `site` in the active scope: draw 0,
@@ -371,22 +354,10 @@ pub fn site_fated(site: FaultSite) -> bool {
             .get_or_insert_with(|| deviate(&s.plan, site, s.token, 0) < spec.probability);
         if verdict && s.fires[site.idx()] == 0 {
             s.fires[site.idx()] = 1;
-            INJECTED[site.idx()].fetch_add(1, Ordering::Relaxed);
         }
         verdict
     })
     .unwrap_or(false)
-}
-
-/// Total faults injected at `site` across the process, for diagnostics
-/// and bench reporting. Monotone; never read by any injection decision.
-pub fn injected(site: FaultSite) -> u64 {
-    INJECTED[site.idx()].load(Ordering::Relaxed)
-}
-
-/// Total faults injected across all sites.
-pub fn injected_total() -> u64 {
-    INJECTED.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! * [`par`] — chunked, order-preserving data parallelism over scoped
 //!   worker threads (`par_map_indexed`), the engine behind the parallel
 //!   `Scenario` evaluator and Monte-Carlo drivers.
+//! * [`metrics`] — per-thread counter sets ([`counter_set!`]): the LP,
+//!   kernel and serving counters every bench report reads.
 //! * [`faults`] — deterministic, seed-driven fault injection
 //!   ([`faults::FaultPlan`]): the chaos schedules behind the robustness
 //!   suites, bit-reproducible across threads, batch sizes and replays.
@@ -49,6 +51,7 @@ pub mod db;
 pub mod faults;
 pub mod interp;
 pub mod linalg;
+pub mod metrics;
 pub mod optim;
 pub mod par;
 pub mod quadrature;

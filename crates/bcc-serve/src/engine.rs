@@ -11,9 +11,11 @@ use crate::cache::{DecisionCache, Outcome};
 use crate::quant::QuantSpec;
 use crate::query::{Decision, DecisionCore, DegradeReason, Query, ServeError, ServedFrom};
 use crate::stats::ServeStats;
-use bcc_core::kernel::{kernel_hits_local, SolveRequest};
+use bcc_core::batch;
+use bcc_core::kernel::SolveRequest;
 use bcc_core::protocol::Protocol;
 use bcc_core::{CoreError, Objective, SolveCtx};
+use bcc_lp::LpStats;
 use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -97,23 +99,36 @@ impl ServeConfig {
     }
 }
 
-/// What one fresh solve cost, alongside its outcome.
+/// What one fresh solve answered and what it cost. `degraded` is `Some`
+/// when the outcome came from the conservative fallback rather than the
+/// full protocol selection; degraded outcomes are never cached.
 pub(crate) struct SolvedMiss {
     pub outcome: Result<Outcome, ServeError>,
+    pub degraded: Option<DegradeReason>,
     pub kernel_solves: u64,
-    pub simplex_solves: u64,
-    pub warm_hits: u64,
-    pub pivots: u64,
+    pub lp: LpStats,
 }
 
-/// Solves one already-snapped query on `ctx`, counting what the solve
-/// cost (kernel vs simplex, warm hits, pivots) via the thread-local
-/// counters. Shared by the serial engine and the batch workers.
-pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
-    let kernel_before = kernel_hits_local();
-    let lp_before = bcc_lp::stats::local_snapshot();
+impl SolvedMiss {
+    /// Runs `solve` and counts everything it cost on this thread.
+    fn counted(
+        solve: impl FnOnce() -> (Result<Outcome, ServeError>, Option<DegradeReason>),
+    ) -> SolvedMiss {
+        let (((outcome, degraded), lp), kernel) =
+            batch::stats::scoped(|| bcc_lp::stats::scoped(solve));
+        SolvedMiss {
+            outcome,
+            degraded,
+            kernel_solves: kernel.kernel_hits,
+            lp,
+        }
+    }
+}
+
+/// The full protocol selection for one already-snapped query.
+fn select(ctx: &mut SolveCtx, snapped: &Query) -> Result<Outcome, ServeError> {
     let net = snapped.network();
-    let outcome = match ctx.solve_best(
+    match ctx.solve_best(
         &net,
         &Protocol::ALL,
         Objective::SumRate,
@@ -125,40 +140,14 @@ pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
         ))),
         Ok(None) => Ok(Outcome::Infeasible),
         Err(e) => Err(ServeError::Solver(e)),
-    };
-    let lp = bcc_lp::stats::local_snapshot().delta_since(&lp_before);
-    SolvedMiss {
-        outcome,
-        kernel_solves: kernel_hits_local().wrapping_sub(kernel_before),
-        simplex_solves: lp.solves,
-        warm_hits: lp.warm_hits,
-        pivots: lp.pivots,
     }
 }
 
-/// A [`SolvedMiss`] plus degradation provenance: `degraded` is `Some`
-/// when the outcome came from the conservative fallback rather than the
-/// full protocol selection. Degraded outcomes are never cached.
-pub(crate) struct GuardedMiss {
-    pub outcome: Result<Outcome, ServeError>,
-    pub degraded: Option<DegradeReason>,
-    pub kernel_solves: u64,
-    pub simplex_solves: u64,
-    pub warm_hits: u64,
-    pub pivots: u64,
-}
-
-impl GuardedMiss {
-    pub(crate) fn clean(solved: SolvedMiss) -> GuardedMiss {
-        GuardedMiss {
-            outcome: solved.outcome,
-            degraded: None,
-            kernel_solves: solved.kernel_solves,
-            simplex_solves: solved.simplex_solves,
-            warm_hits: solved.warm_hits,
-            pivots: solved.pivots,
-        }
-    }
+/// Solves one already-snapped query on `ctx`, counting what the solve
+/// cost (kernel vs simplex, warm hits, pivots). Shared by the serial
+/// engine and the batch workers.
+pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
+    SolvedMiss::counted(|| (select(ctx, snapped), None))
 }
 
 /// Solves one snapped query under an armed fault plan and/or solve
@@ -179,20 +168,29 @@ impl GuardedMiss {
 ///    full selection maximises over, so it is provably ≤ the true
 ///    optimum); if DT cannot meet the query's QoS floor the honest
 ///    answer is [`ServeError::DegradedUnavailable`].
+///
+/// The returned cost covers both attempts and the fallback.
 pub(crate) fn solve_guarded(
     ctx: &mut SolveCtx,
     snapped: &Query,
     token: u64,
     plan: &FaultPlan,
     budget: Option<u64>,
-) -> GuardedMiss {
+) -> SolvedMiss {
     if plan.is_empty() && budget.is_none() {
-        return GuardedMiss::clean(solve_counted(ctx, snapped));
+        return solve_counted(ctx, snapped);
     }
-    let mut kernel_solves = 0u64;
-    let mut simplex_solves = 0u64;
-    let mut warm_hits = 0u64;
-    let mut pivots = 0u64;
+    SolvedMiss::counted(|| guarded(ctx, snapped, token, plan, budget))
+}
+
+/// The outcome and degradation of [`solve_guarded`]'s chaos path.
+fn guarded(
+    ctx: &mut SolveCtx,
+    snapped: &Query,
+    token: u64,
+    plan: &FaultPlan,
+    budget: Option<u64>,
+) -> (Result<Outcome, ServeError>, Option<DegradeReason>) {
     let mut fall = None;
     {
         let _scope = FaultScope::enter(plan, token);
@@ -203,52 +201,28 @@ pub(crate) fn solve_guarded(
                 if faults::should_inject(FaultSite::WorkerPanic) {
                     panic!("injected worker panic (deterministic chaos)");
                 }
-                solve_counted(ctx, snapped)
+                bcc_lp::stats::scoped(|| select(ctx, snapped))
             }));
             match attempt {
-                Ok(solved) => {
-                    kernel_solves += solved.kernel_solves;
-                    simplex_solves += solved.simplex_solves;
-                    warm_hits += solved.warm_hits;
-                    pivots += solved.pivots;
-                    match solved.outcome {
-                        Ok(outcome) => {
-                            if budget.is_some_and(|b| solved.simplex_solves > b) {
-                                // The LP-solve count of a query is a pure
-                                // function of the query, so a retry would
-                                // exceed the budget identically: degrade now.
-                                fall = Some(DegradeReason::Budget);
-                                break;
-                            }
-                            return GuardedMiss {
-                                outcome: Ok(outcome),
-                                degraded: None,
-                                kernel_solves,
-                                simplex_solves,
-                                warm_hits,
-                                pivots,
-                            };
-                        }
-                        Err(ServeError::Solver(e)) if e.is_resource_limit() => {
-                            fall = Some(DegradeReason::Budget);
-                        }
-                        Err(ServeError::Solver(e)) if e.is_injected() => {
-                            fall = Some(DegradeReason::Fault);
-                        }
-                        Err(e) => {
-                            // A genuine solver failure is a bug report,
-                            // not a degradation trigger.
-                            return GuardedMiss {
-                                outcome: Err(e),
-                                degraded: None,
-                                kernel_solves,
-                                simplex_solves,
-                                warm_hits,
-                                pivots,
-                            };
-                        }
+                Ok((Ok(outcome), lp)) => {
+                    if budget.is_some_and(|b| lp.solves > b) {
+                        // The LP-solve count of a query is a pure
+                        // function of the query, so a retry would
+                        // exceed the budget identically: degrade now.
+                        fall = Some(DegradeReason::Budget);
+                        break;
                     }
+                    return (Ok(outcome), None);
                 }
+                Ok((Err(ServeError::Solver(e)), _)) if e.is_resource_limit() => {
+                    fall = Some(DegradeReason::Budget);
+                }
+                Ok((Err(ServeError::Solver(e)), _)) if e.is_injected() => {
+                    fall = Some(DegradeReason::Fault);
+                }
+                // A genuine solver failure is a bug report, not a
+                // degradation trigger.
+                Ok((Err(e), _)) => return (Err(e), None),
                 Err(_payload) => {
                     fall = Some(DegradeReason::Panic);
                 }
@@ -256,8 +230,6 @@ pub(crate) fn solve_guarded(
         }
     }
     let reason = fall.expect("both attempts failed with a recorded reason");
-    let kernel_before = kernel_hits_local();
-    let lp_before = bcc_lp::stats::local_snapshot();
     let net = snapped.network();
     let req = SolveRequest::sum_rate(Protocol::DirectTransmission)
         .with_bound(snapped.bound)
@@ -271,15 +243,7 @@ pub(crate) fn solve_guarded(
         }
         Err(e) => Err(ServeError::Solver(e)),
     };
-    let lp = bcc_lp::stats::local_snapshot().delta_since(&lp_before);
-    GuardedMiss {
-        outcome,
-        degraded: Some(reason),
-        kernel_solves: kernel_solves + kernel_hits_local().wrapping_sub(kernel_before),
-        simplex_solves: simplex_solves + lp.solves,
-        warm_hits: warm_hits + lp.warm_hits,
-        pivots: pivots + lp.pivots,
-    }
+    (outcome, Some(reason))
 }
 
 /// The per-key cache fates under `plan`: `(evict_fated, corrupt_fated)`.
@@ -421,7 +385,7 @@ impl Engine {
                     self.solve_budget,
                 );
                 delta.kernel_solves = solved.kernel_solves;
-                delta.simplex_solves = solved.simplex_solves;
+                delta.simplex_solves = solved.lp.solves;
                 let result = match (solved.degraded, solved.outcome) {
                     (Some(reason), Ok(Outcome::Decided(core))) => {
                         delta.degraded = 1;

@@ -23,9 +23,9 @@
 //!   within-batch miss deduplication and [`Rejected`] pushback when the
 //!   queue is full. Drained decision streams are bit-identical at any
 //!   worker count.
-//! * **Serve statistics** ([`stats`]): relaxed-atomic process counters
-//!   (queries, hits, misses, evictions, rejects, kernel vs simplex
-//!   solves) with exact thread-local deltas, in the style of
+//! * **Serve statistics** ([`stats`]): per-thread counters (queries,
+//!   hits, misses, evictions, rejects, kernel vs simplex solves) with
+//!   exact scoped deltas, a [`bcc_num::metrics`] counter set like
 //!   [`bcc_lp::stats`].
 //! * **Deterministic load generation** ([`LoadSpec`]): reproducible
 //!   repeated / hot-set / fresh query streams for closed-loop benches

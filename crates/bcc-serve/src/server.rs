@@ -21,9 +21,7 @@
 //! answers.
 
 use crate::cache::Outcome;
-use crate::engine::{
-    cache_fates, solve_counted, solve_guarded, Engine, GuardedMiss, ServeConfig, SolvedMiss,
-};
+use crate::engine::{cache_fates, solve_counted, solve_guarded, Engine, ServeConfig, SolvedMiss};
 use crate::quant::QuantKey;
 use crate::query::{Decision, DecisionCore, Priority, Query, Rejected, ServeError, ServedFrom};
 use crate::stats::ServeStats;
@@ -31,6 +29,7 @@ use bcc_core::batch::DEFAULT_BLOCK;
 use bcc_core::kernel::par_blocks;
 use bcc_core::protocol::Protocol;
 use bcc_core::{SolveCtx, SolveOutcome, SolveRequest};
+use bcc_lp::LpStats;
 use bcc_num::par::par_map_indexed_with;
 use std::collections::HashMap;
 
@@ -164,7 +163,7 @@ impl Server {
     /// Misses are deduplicated by quantized key and fanned across
     /// workers; see the module docs for the determinism contract. The
     /// batch's cost is recorded in [`last_batch`](Server::last_batch)
-    /// and the process-wide [`stats`](crate::stats).
+    /// and the draining thread's [`stats`](crate::stats).
     pub fn drain(&mut self) -> Vec<Result<Decision, ServeError>> {
         let batch: Vec<Query> = std::mem::take(&mut self.queue);
         if batch.is_empty() {
@@ -231,16 +230,13 @@ impl Server {
         // serial-vs-batched differential invariant); fault-free batches
         // keep the SoA lane kernels.
         let threads = self.threads.unwrap_or_else(bcc_num::par::thread_count);
-        let solved: Vec<GuardedMiss> = if chaos {
+        let solved: Vec<SolvedMiss> = if chaos {
             let tokens: Vec<u64> = miss_keys.iter().map(QuantKey::hash64).collect();
             par_map_indexed_with(threads, &miss_queries, SolveCtx::new, |ctx, i, snapped| {
                 solve_guarded(ctx, snapped, tokens[i], &plan, budget)
             })
         } else {
             solve_misses(threads, &miss_queries)
-                .into_iter()
-                .map(GuardedMiss::clean)
-                .collect()
         };
 
         // Phase 3 (serial): commit solved outcomes into the cache in miss
@@ -260,9 +256,9 @@ impl Server {
             miss_keys.iter().zip(&solved).zip(&miss_fates)
         {
             stats.kernel_solves += miss.kernel_solves;
-            stats.simplex_solves += miss.simplex_solves;
-            stats.warm_hits += miss.warm_hits;
-            stats.pivots += miss.pivots;
+            stats.simplex_solves += miss.lp.solves;
+            stats.warm_hits += miss.lp.warm_hits;
+            stats.pivots += miss.lp.pivots;
             if miss.degraded.is_some() || evict_fated {
                 continue;
             }
@@ -384,10 +380,9 @@ fn solve_misses(threads: usize, misses: &[Query]) -> Vec<SolvedMiss> {
                     outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
                         &best.sum_rate_solution(),
                     ))),
+                    degraded: None,
                     kernel_solves: Protocol::ALL.len() as u64,
-                    simplex_solves: 0,
-                    warm_hits: 0,
-                    pivots: 0,
+                    lp: LpStats::zero(),
                 }
             })
             .collect::<Vec<_>>())
@@ -642,5 +637,35 @@ mod tests {
         let batched = answers[0].as_ref().unwrap();
         assert_eq!(serial.sum_rate.to_bits(), batched.sum_rate.to_bits());
         assert_eq!(serial.served_from, batched.served_from);
+    }
+
+    #[test]
+    fn degraded_miss_cost_counts_every_attempt_and_the_fallback() {
+        // A floored miss selects over four LP solves; at budget 0 it
+        // degrades, and the direct-transmission fallback costs one more.
+        let floored = q(0.5).with_floor(0.05, 0.05);
+        let config = ServeConfig::default().solve_budget(0).threads(1);
+        let (answer, cost) = crate::stats::scoped(|| Engine::new(&config).serve(&floored));
+        assert!(matches!(
+            answer.unwrap().served_from,
+            ServedFrom::Degraded { .. }
+        ));
+        assert_eq!(
+            (cost.simplex_solves, cost.kernel_solves, cost.degraded),
+            (5, 0, 1)
+        );
+
+        let mut server = Server::new(&config);
+        server.submit(floored).unwrap();
+        server.drain();
+        let batch = server.last_batch();
+        assert_eq!(
+            (batch.simplex_solves, batch.kernel_solves, batch.degraded),
+            (5, 0, 1)
+        );
+
+        let unbudgeted = ServeConfig::default().threads(1);
+        let (_, cost) = crate::stats::scoped(|| Engine::new(&unbudgeted).serve(&floored));
+        assert_eq!((cost.simplex_solves, cost.degraded), (4, 0));
     }
 }

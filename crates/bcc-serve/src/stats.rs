@@ -1,13 +1,11 @@
-//! Global, lock-free serving counters, in the style of
-//! [`bcc_lp::stats`].
+//! Per-thread serving counters, a [`bcc_num::metrics`] counter set.
 //!
 //! The server drains batches across worker threads whose private
 //! [`SolveCtx`](bcc_core::SolveCtx)s live only inside the parallel
 //! region, so per-context counters cannot tell the operator how the
-//! *service* is doing. Instead every serve records its outcome into a
-//! small set of process-wide relaxed atomics plus calling-thread
-//! twins, and diagnostics (the load generator, `bench-report`, the CI
-//! gate) read deltas around a workload:
+//! *service* is doing. Instead every serve records its outcome into the
+//! calling thread's [`ServeStats`], and diagnostics (the load generator,
+//! `bench-report`, the CI gate) read deltas around a workload:
 //!
 //! ```
 //! use bcc_channel::{ChannelState, PowerSplit};
@@ -23,100 +21,45 @@
 //! assert_eq!(delta.cache_hits, 1);
 //! ```
 //!
-//! The counters are monotone over the process lifetime (no reset);
-//! consumers subtract snapshots via [`ServeStats::delta_since`]. As with
-//! the LP counters, global deltas race against concurrent serves on
-//! other threads; thread-local deltas around a completed workload on the
-//! calling thread are exact. Batch drains record their whole batch on
-//! the *draining* thread, so [`scoped`] around a drain is exact even
-//! though the solves themselves ran on workers.
+//! Batch drains record their whole batch on the *draining* thread, so
+//! [`scoped`] around a drain is exact even though the solves themselves
+//! ran on workers.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-static QUERIES: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static REJECTS: AtomicU64 = AtomicU64::new(0);
-static KERNEL_SOLVES: AtomicU64 = AtomicU64::new(0);
-static SIMPLEX_SOLVES: AtomicU64 = AtomicU64::new(0);
-static DEGRADED: AtomicU64 = AtomicU64::new(0);
-static SHED: AtomicU64 = AtomicU64::new(0);
-static VALIDATED_REJECTS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static LOCAL: Cell<ServeStats> = const { Cell::new(ServeStats::zero()) };
-}
-
-/// A snapshot of the process-wide serving counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Queries answered (hit or miss; rejected queries are not counted).
-    pub queries: u64,
-    /// Queries answered from the decision cache, including within-batch
-    /// duplicates that shared one solve.
-    pub cache_hits: u64,
-    /// Queries that required a fresh solve at the quantized key.
-    pub cache_misses: u64,
-    /// Cache entries displaced to make room for new ones.
-    pub evictions: u64,
-    /// Submissions refused because the queue was full (backpressure).
-    pub rejects: u64,
-    /// Closed-form kernel solves performed on behalf of misses
-    /// (the [`SolveCtx`](bcc_core::SolveCtx) fast path).
-    pub kernel_solves: u64,
-    /// Simplex LP solves performed on behalf of misses.
-    pub simplex_solves: u64,
-    /// Queries answered from the conservative closed-form fallback
-    /// because the primary solve was exhausted or faulted
-    /// ([`ServedFrom::Degraded`](crate::ServedFrom::Degraded)).
-    pub degraded: u64,
-    /// Queued normal-priority queries displaced by high-priority
-    /// submissions under overload (distinct from `rejects`, which count
-    /// submissions that never entered the queue).
-    pub shed: u64,
-    /// Queries refused by [`Query::validate`](crate::Query::validate)
-    /// before reaching the solver (non-finite or negative inputs).
-    pub validated_rejects: u64,
+bcc_num::counter_set! {
+    /// Serving counters: a thread's totals, or the delta between two of
+    /// its snapshots.
+    pub struct ServeStats {
+        /// Queries answered (hit or miss; rejected queries are not counted).
+        pub queries: u64,
+        /// Queries answered from the decision cache, including within-batch
+        /// duplicates that shared one solve.
+        pub cache_hits: u64,
+        /// Queries that required a fresh solve at the quantized key.
+        pub cache_misses: u64,
+        /// Cache entries displaced to make room for new ones.
+        pub evictions: u64,
+        /// Submissions refused because the queue was full (backpressure).
+        pub rejects: u64,
+        /// Closed-form kernel solves performed on behalf of misses
+        /// (the [`SolveCtx`](bcc_core::SolveCtx) fast path).
+        pub kernel_solves: u64,
+        /// Simplex LP solves performed on behalf of misses.
+        pub simplex_solves: u64,
+        /// Queries answered from the conservative closed-form fallback
+        /// because the primary solve was exhausted or faulted
+        /// ([`ServedFrom::Degraded`](crate::ServedFrom::Degraded)).
+        pub degraded: u64,
+        /// Queued normal-priority queries displaced by high-priority
+        /// submissions under overload (distinct from `rejects`, which count
+        /// submissions that never entered the queue).
+        pub shed: u64,
+        /// Queries refused by [`Query::validate`](crate::Query::validate)
+        /// before reaching the solver (non-finite or negative inputs).
+        pub validated_rejects: u64,
+    }
 }
 
 impl ServeStats {
-    /// The all-zero snapshot (`const` so it can seed a thread-local cell).
-    pub const fn zero() -> ServeStats {
-        ServeStats {
-            queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            evictions: 0,
-            rejects: 0,
-            kernel_solves: 0,
-            simplex_solves: 0,
-            degraded: 0,
-            shed: 0,
-            validated_rejects: 0,
-        }
-    }
-
-    /// Counter increments since `earlier` (wrapping, so stale snapshots
-    /// cannot panic).
-    pub fn delta_since(&self, earlier: &ServeStats) -> ServeStats {
-        ServeStats {
-            queries: self.queries.wrapping_sub(earlier.queries),
-            cache_hits: self.cache_hits.wrapping_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.wrapping_sub(earlier.cache_misses),
-            evictions: self.evictions.wrapping_sub(earlier.evictions),
-            rejects: self.rejects.wrapping_sub(earlier.rejects),
-            kernel_solves: self.kernel_solves.wrapping_sub(earlier.kernel_solves),
-            simplex_solves: self.simplex_solves.wrapping_sub(earlier.simplex_solves),
-            degraded: self.degraded.wrapping_sub(earlier.degraded),
-            shed: self.shed.wrapping_sub(earlier.shed),
-            validated_rejects: self
-                .validated_rejects
-                .wrapping_sub(earlier.validated_rejects),
-        }
-    }
-
     /// Fraction of answered queries served from the cache, in `[0, 1]`
     /// (`0` when no queries were answered).
     pub fn hit_rate(&self) -> f64 {
@@ -128,109 +71,9 @@ impl ServeStats {
     }
 }
 
-/// Reads the current process-wide counter values.
-pub fn snapshot() -> ServeStats {
-    ServeStats {
-        queries: QUERIES.load(Relaxed),
-        cache_hits: CACHE_HITS.load(Relaxed),
-        cache_misses: CACHE_MISSES.load(Relaxed),
-        evictions: EVICTIONS.load(Relaxed),
-        rejects: REJECTS.load(Relaxed),
-        kernel_solves: KERNEL_SOLVES.load(Relaxed),
-        simplex_solves: SIMPLEX_SOLVES.load(Relaxed),
-        degraded: DEGRADED.load(Relaxed),
-        shed: SHED.load(Relaxed),
-        validated_rejects: VALIDATED_REJECTS.load(Relaxed),
-    }
-}
-
-/// Reads the calling thread's private counter values (exact for
-/// workloads served on this thread; see [`bcc_lp::stats::local_snapshot`]
-/// for the full rationale).
-pub fn local_snapshot() -> ServeStats {
-    LOCAL.with(Cell::get)
-}
-
-/// Runs `f` and returns its result together with the calling thread's
-/// counter delta across the call — race-free under `cargo test`'s
-/// default parallelism because peer threads increment their own locals.
-pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, ServeStats) {
-    let before = local_snapshot();
-    let result = f();
-    (result, local_snapshot().delta_since(&before))
-}
-
-/// Adds `delta` to the globals and the calling thread's locals. Called
-/// once per serve or per drained batch, never per solve.
-pub(crate) fn record(delta: &ServeStats) {
-    fn bump(counter: &AtomicU64, by: u64) {
-        if by > 0 {
-            counter.fetch_add(by, Relaxed);
-        }
-    }
-    bump(&QUERIES, delta.queries);
-    bump(&CACHE_HITS, delta.cache_hits);
-    bump(&CACHE_MISSES, delta.cache_misses);
-    bump(&EVICTIONS, delta.evictions);
-    bump(&REJECTS, delta.rejects);
-    bump(&KERNEL_SOLVES, delta.kernel_solves);
-    bump(&SIMPLEX_SOLVES, delta.simplex_solves);
-    bump(&DEGRADED, delta.degraded);
-    bump(&SHED, delta.shed);
-    bump(&VALIDATED_REJECTS, delta.validated_rejects);
-    LOCAL.with(|c| {
-        let s = c.get();
-        c.set(ServeStats {
-            queries: s.queries.wrapping_add(delta.queries),
-            cache_hits: s.cache_hits.wrapping_add(delta.cache_hits),
-            cache_misses: s.cache_misses.wrapping_add(delta.cache_misses),
-            evictions: s.evictions.wrapping_add(delta.evictions),
-            rejects: s.rejects.wrapping_add(delta.rejects),
-            kernel_solves: s.kernel_solves.wrapping_add(delta.kernel_solves),
-            simplex_solves: s.simplex_solves.wrapping_add(delta.simplex_solves),
-            degraded: s.degraded.wrapping_add(delta.degraded),
-            shed: s.shed.wrapping_add(delta.shed),
-            validated_rejects: s.validated_rejects.wrapping_add(delta.validated_rejects),
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_is_wrapping_and_componentwise() {
-        let a = ServeStats {
-            queries: 10,
-            cache_hits: 4,
-            cache_misses: 6,
-            evictions: 1,
-            rejects: 0,
-            kernel_solves: 5,
-            simplex_solves: 1,
-            ..ServeStats::zero()
-        };
-        let mut b = a;
-        b.queries += 7;
-        b.cache_hits += 3;
-        b.cache_misses += 4;
-        b.rejects += 2;
-        b.degraded += 1;
-        b.shed += 2;
-        b.validated_rejects += 3;
-        let d = b.delta_since(&a);
-        assert_eq!(d.queries, 7);
-        assert_eq!(d.cache_hits, 3);
-        assert_eq!(d.cache_misses, 4);
-        assert_eq!(d.rejects, 2);
-        assert_eq!(d.evictions, 0);
-        assert_eq!(d.degraded, 1);
-        assert_eq!(d.shed, 2);
-        assert_eq!(d.validated_rejects, 3);
-        // Wrapping: a stale "later" snapshot must not panic.
-        let _ = a.delta_since(&b);
-    }
 
     #[test]
     fn hit_rate_handles_the_empty_snapshot() {
@@ -241,50 +84,5 @@ mod tests {
             ..ServeStats::zero()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn record_moves_globals_and_locals_together() {
-        let delta = ServeStats {
-            queries: 3,
-            cache_hits: 1,
-            cache_misses: 2,
-            evictions: 0,
-            rejects: 1,
-            kernel_solves: 2,
-            simplex_solves: 0,
-            degraded: 1,
-            shed: 1,
-            validated_rejects: 2,
-        };
-        let (g0, l0) = (snapshot(), local_snapshot());
-        record(&delta);
-        let dg = snapshot().delta_since(&g0);
-        let dl = local_snapshot().delta_since(&l0);
-        // Global counters race with peer test threads, so only the
-        // thread-local delta is asserted exactly.
-        assert!(dg.queries >= 3);
-        assert_eq!(dl, delta);
-    }
-
-    #[test]
-    fn local_snapshot_ignores_other_threads() {
-        let before = local_snapshot();
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    record(&ServeStats {
-                        queries: 5,
-                        ..ServeStats::zero()
-                    })
-                })
-                .join()
-                .unwrap();
-        });
-        assert_eq!(
-            local_snapshot().delta_since(&before),
-            ServeStats::zero(),
-            "peer-thread serves must not leak into this thread's counters"
-        );
     }
 }
