@@ -68,9 +68,10 @@ impl Outcome {
     }
 }
 
-/// The entry checksum: key digest mixed with the outcome's bit content.
-fn checksum(key: &QuantKey, outcome: &Outcome) -> u64 {
-    key.hash64() ^ outcome.fold_bits().rotate_left(17)
+/// The entry checksum: the key's digest (`hash` is
+/// [`QuantKey::hash64`]) mixed with the outcome's bit content.
+fn checksum(hash: u64, outcome: &Outcome) -> u64 {
+    hash ^ outcome.fold_bits().rotate_left(17)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -136,18 +137,22 @@ impl DecisionCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     ///
+    /// A probe hashes the key once: the one [`QuantKey::hash64`] anchors
+    /// the probe window and verifies the hit's checksum.
+    ///
     /// The whole window is probed even past empty slots: eviction can
     /// punch holes between an anchor and a surviving entry, so an empty
     /// slot does not prove absence. A hit whose checksum does not verify
     /// is invalidated and reported as a miss — a corrupted decision is
     /// never served.
     pub fn get(&mut self, key: &QuantKey) -> Option<Outcome> {
-        let anchor = key.hash64() as usize;
+        let hash = key.hash64();
+        let anchor = hash as usize;
         for i in 0..WAYS {
             let idx = (anchor + i) & self.mask;
             if let Some(entry) = &mut self.slots[idx] {
                 if entry.key == *key {
-                    if entry.checksum != checksum(key, &entry.outcome) {
+                    if entry.checksum != checksum(hash, &entry.outcome) {
                         self.slots[idx] = None;
                         self.len -= 1;
                         self.corruptions_detected += 1;
@@ -165,8 +170,7 @@ impl DecisionCache {
     /// Inserts (or refreshes) `key → outcome`. If the key's probe window
     /// is full, the least-recently-used entry in the window is evicted.
     pub fn insert(&mut self, key: QuantKey, outcome: Outcome) {
-        let digest = checksum(&key, &outcome);
-        self.insert_with_checksum(key, outcome, digest);
+        self.insert_with_checksum(key, outcome, 0);
     }
 
     /// Inserts `key → outcome` with a deliberately wrong checksum — the
@@ -174,13 +178,16 @@ impl DecisionCache {
     /// and read. The next [`get`](DecisionCache::get) of the key detects
     /// the mismatch, invalidates the entry and reports a miss.
     pub fn insert_corrupted(&mut self, key: QuantKey, outcome: Outcome) {
-        let digest = checksum(&key, &outcome) ^ 0x0001_0000_0000_0001;
-        self.insert_with_checksum(key, outcome, digest);
+        self.insert_with_checksum(key, outcome, 0x0001_0000_0000_0001);
     }
 
-    fn insert_with_checksum(&mut self, key: QuantKey, outcome: Outcome, digest: u64) {
+    /// Stores `key → outcome` under the entry checksum XOR `flip` (zero
+    /// for a clean entry), hashing the key once for both.
+    fn insert_with_checksum(&mut self, key: QuantKey, outcome: Outcome, flip: u64) {
         self.tick += 1;
-        let anchor = key.hash64() as usize;
+        let hash = key.hash64();
+        let digest = checksum(hash, &outcome) ^ flip;
+        let anchor = hash as usize;
         let mut empty: Option<usize> = None;
         let mut lru: usize = anchor & self.mask;
         let mut lru_used = u64::MAX;
@@ -242,7 +249,7 @@ mod tests {
             ChannelState::new(gab, 1.0, 1.0),
             PowerSplit::symmetric(10.0),
         );
-        QuantSpec::strict().snap_query(&q).0
+        QuantSpec::strict().key(&q)
     }
 
     fn outcome(rate: f64) -> Outcome {
@@ -353,19 +360,20 @@ mod tests {
     fn checksum_distinguishes_outcomes_and_keys() {
         let k1 = key_for(3.0);
         let k2 = key_for(4.0);
-        assert_ne!(checksum(&k1, &outcome(1.0)), checksum(&k1, &outcome(2.0)));
-        assert_ne!(checksum(&k1, &outcome(1.0)), checksum(&k2, &outcome(1.0)));
+        let (h1, h2) = (k1.hash64(), k2.hash64());
+        assert_ne!(checksum(h1, &outcome(1.0)), checksum(h1, &outcome(2.0)));
+        assert_ne!(checksum(h1, &outcome(1.0)), checksum(h2, &outcome(1.0)));
         assert_ne!(
-            checksum(&k1, &outcome(1.0)),
-            checksum(&k1, &Outcome::Infeasible)
+            checksum(h1, &outcome(1.0)),
+            checksum(h1, &Outcome::Infeasible)
         );
         // Duration bits matter too (same rates, different schedule).
         let mut core = match outcome(1.0) {
             Outcome::Decided(c) => c,
             Outcome::Infeasible => unreachable!(),
         };
-        let base = checksum(&k1, &Outcome::Decided(core));
+        let base = checksum(h1, &Outcome::Decided(core));
         core.durations = PhaseVec::from([0.5, 0.5]);
-        assert_ne!(base, checksum(&k1, &Outcome::Decided(core)));
+        assert_ne!(base, checksum(h1, &Outcome::Decided(core)));
     }
 }

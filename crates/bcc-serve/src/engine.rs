@@ -1,5 +1,5 @@
-//! The single-threaded serve path: snap → probe the cache → solve on a
-//! miss → cache the outcome.
+//! The single-threaded serve path: key → probe the cache → decode and
+//! solve on a miss → cache the outcome.
 //!
 //! [`Engine`] owns one [`SolveCtx`] and one [`DecisionCache`] and
 //! answers queries one at a time — the closed-loop path a latency bench
@@ -8,7 +8,7 @@
 //! fans misses across workers.
 
 use crate::cache::{DecisionCache, Outcome};
-use crate::quant::QuantSpec;
+use crate::quant::{QuantKey, QuantSpec};
 use crate::query::{Decision, DecisionCore, DegradeReason, Query, ServeError, ServedFrom};
 use crate::stats::ServeStats;
 use bcc_core::batch;
@@ -155,8 +155,8 @@ pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
 ///
 /// 1. With an empty plan and no budget this is exactly [`solve_counted`]
 ///    — the fault-free instruction stream is untouched.
-/// 2. Otherwise the solve runs inside a [`FaultScope`] keyed by `token`
-///    (the quantized-key hash), wrapped in `catch_unwind`, with up to
+/// 2. Otherwise the solve runs inside a [`FaultScope`] keyed by the
+///    quantized key's hash, wrapped in `catch_unwind`, with up to
 ///    **two attempts**: an injected/organic iteration limit, an injected
 ///    solver fault, or a (caught) panic triggers one retry, which
 ///    re-rolls the transient fault draws.
@@ -173,14 +173,14 @@ pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
 pub(crate) fn solve_guarded(
     ctx: &mut SolveCtx,
     snapped: &Query,
-    token: u64,
+    key: &QuantKey,
     plan: &FaultPlan,
     budget: Option<u64>,
 ) -> SolvedMiss {
     if plan.is_empty() && budget.is_none() {
         return solve_counted(ctx, snapped);
     }
-    SolvedMiss::counted(|| guarded(ctx, snapped, token, plan, budget))
+    SolvedMiss::counted(|| guarded(ctx, snapped, key.hash64(), plan, budget))
 }
 
 /// The outcome and degradation of [`solve_guarded`]'s chaos path.
@@ -247,13 +247,14 @@ fn guarded(
 }
 
 /// The per-key cache fates under `plan`: `(evict_fated, corrupt_fated)`.
-/// Evaluated in a scope of their own so any code path — serial serve,
-/// batch probe, batch commit — reaches the same verdict for a key.
-pub(crate) fn cache_fates(plan: &FaultPlan, token: u64) -> (bool, bool) {
+/// Evaluated in a scope of their own, keyed by the key's hash, so any
+/// code path — serial serve, batch probe, batch commit — reaches the
+/// same verdict for a key. The empty plan hashes nothing.
+pub(crate) fn cache_fates(plan: &FaultPlan, key: &QuantKey) -> (bool, bool) {
     if plan.is_empty() {
         return (false, false);
     }
-    let _scope = FaultScope::enter(plan, token);
+    let _scope = FaultScope::enter(plan, key.hash64());
     (
         faults::site_fated(FaultSite::CacheEvict),
         faults::site_fated(FaultSite::CacheCorrupt),
@@ -336,10 +337,11 @@ impl Engine {
     ///
     /// The query is [validated](Query::validate) (malformed queries are
     /// refused with [`ServeError::InvalidQuery`] before touching the
-    /// solver) and snapped to its quantized key; a cache hit returns the
-    /// stored decision bit-for-bit (tagged [`ServedFrom::Cache`]), a miss
-    /// solves the snapped query on the engine's context, caches the
-    /// outcome — including proven infeasibility — and tags the answer
+    /// solver) and mapped to its quantized [key](QuantSpec::key); a cache
+    /// hit returns the stored decision bit-for-bit (tagged
+    /// [`ServedFrom::Cache`]), a miss decodes the key's grid point
+    /// ([`QuantSpec::snapped`]), solves it on the engine's context, caches
+    /// the outcome — including proven infeasibility — and tags the answer
     /// [`ServedFrom::Kernel`]. Solver *errors* are returned but never
     /// cached.
     ///
@@ -358,9 +360,8 @@ impl Engine {
             crate::stats::record(&delta);
             return Err(e);
         }
-        let (key, snapped) = self.spec.snap_query(query);
-        let token = key.hash64();
-        let (evict_fated, corrupt_fated) = cache_fates(&self.faults, token);
+        let key = self.spec.key(query);
+        let (evict_fated, corrupt_fated) = cache_fates(&self.faults, &key);
         let cached = if evict_fated {
             None
         } else {
@@ -379,8 +380,8 @@ impl Engine {
                 let evictions_before = self.cache.evictions();
                 let solved = solve_guarded(
                     &mut self.ctx,
-                    &snapped,
-                    token,
+                    &self.spec.snapped(&key),
+                    &key,
                     &self.faults,
                     self.solve_budget,
                 );

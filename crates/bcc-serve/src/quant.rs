@@ -9,6 +9,15 @@
 //! QoS floors are contractual, never rounded) share a [`QuantKey`] and
 //! therefore one cached decision.
 //!
+//! # Key first, grid point on a miss
+//!
+//! Snapping is two steps. [`QuantSpec::key`] takes one `log10` per gain
+//! and power to find its grid index; that is all a cache hit computes.
+//! [`QuantSpec::snapped`] decodes the grid point a key stands for — one
+//! `powf` per index — and only a miss needs it. The snapped query is
+//! decoded from the key's words alone, so equal keys mean equal snapped
+//! queries by construction.
+//!
 //! # Exactness contract
 //!
 //! Quantization happens **before** the solve: a cache miss solves the
@@ -20,7 +29,7 @@
 //! removes the query error too: keys are the exact f64 bit patterns, so
 //! only bitwise-identical states share an entry.
 
-use crate::query::Query;
+use crate::query::{Priority, Query};
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_core::protocol::Bound;
 
@@ -36,16 +45,26 @@ pub struct QuantSpec {
 }
 
 impl QuantSpec {
+    /// The finest grid step [`db_grid`](QuantSpec::db_grid) accepts, in
+    /// dB. Every positive finite f64 lies within 3233.1 dB of 0 dB, and
+    /// 3233.1 / 2^53 ≈ 3.6e-13, so from this step on every grid index is
+    /// exact in f64 and no positive value's index reaches the zero
+    /// index. Finer steps saturate the index: distinct gains (zero among
+    /// them) would share one key but snap to different values.
+    pub const MIN_STEP_DB: f64 = 1e-12;
+
     /// Snap gains and powers to a dB grid of the given step (e.g. `0.25`
     /// dB). Smaller steps mean finer answers and fewer cache hits.
     ///
     /// # Panics
     ///
-    /// Panics if `step_db` is not finite and positive.
+    /// Panics if `step_db` is not finite or is below
+    /// [`MIN_STEP_DB`](QuantSpec::MIN_STEP_DB).
     pub fn db_grid(step_db: f64) -> Self {
         assert!(
-            step_db.is_finite() && step_db > 0.0,
-            "quantization step must be finite and positive, got {step_db}"
+            step_db.is_finite() && step_db >= Self::MIN_STEP_DB,
+            "quantization step must be finite and at least {} dB, got {step_db}",
+            Self::MIN_STEP_DB
         );
         QuantSpec {
             step_db,
@@ -88,28 +107,30 @@ impl QuantSpec {
         (10.0 * v.log10() / self.step_db).round() as i64
     }
 
-    /// The grid value of one linear gain/power (identity in strict mode).
-    fn snap(&self, v: f64) -> f64 {
+    /// The linear gain/power a key word stands for (identity on the bits
+    /// in strict mode). A grid point beyond `f64::MAX` decodes to
+    /// `f64::MAX`, the largest gain a [`ChannelState`] can hold.
+    fn value(&self, word: u64) -> f64 {
         if self.strict {
-            return v;
+            return f64::from_bits(word);
         }
-        if v <= 0.0 {
-            return 0.0;
+        match word as i64 {
+            ZERO_INDEX => 0.0,
+            index => 10f64.powf(index as f64 * self.step_db / 10.0).min(f64::MAX),
         }
-        10f64.powf(self.index(v) as f64 * self.step_db / 10.0)
     }
 
-    /// Snaps a query to its cache key and the quantized query the engine
-    /// actually solves. Gains and powers snap to the grid; the QoS floor
-    /// and bound choice are part of the key **exactly** (bit patterns).
-    pub fn snap_query(&self, q: &Query) -> (QuantKey, Query) {
+    /// The cache key of a query: the six gain and power grid indices,
+    /// plus the QoS floor and bound choice **exactly** (bit patterns).
+    /// This is all a cache hit computes.
+    pub fn key(&self, q: &Query) -> QuantKey {
         let s = q.state;
         let p = q.powers;
         let (fa, fb, has_floor) = match q.floor {
             Some((a, b)) => (a.to_bits(), b.to_bits(), true),
             None => (0, 0, false),
         };
-        let key = QuantKey {
+        QuantKey {
             words: [
                 self.index(s.gab()) as u64,
                 self.index(s.gar()) as u64,
@@ -121,18 +142,36 @@ impl QuantSpec {
                 fb,
                 u64::from(has_floor) | (u64::from(q.bound == Bound::Outer) << 1),
             ],
-        };
-        // Priority is deliberately not part of the key: it steers
-        // admission under overload, never the answer, so queries that
-        // differ only in priority share one cached decision.
-        let snapped = Query {
-            state: ChannelState::new(self.snap(s.gab()), self.snap(s.gar()), self.snap(s.gbr())),
-            powers: PowerSplit::new(self.snap(p.p_a()), self.snap(p.p_b()), self.snap(p.p_r())),
-            floor: q.floor,
-            bound: q.bound,
-            priority: q.priority,
-        };
-        (key, snapped)
+        }
+    }
+
+    /// The quantized query `key` stands for: the query a miss solves.
+    /// Everything is decoded from the key's words, so equal keys give
+    /// equal snapped queries by construction. Priority is not part of the
+    /// key (it steers admission under overload, never the answer), so
+    /// the snapped query has [`Priority::Normal`].
+    pub fn snapped(&self, key: &QuantKey) -> Query {
+        let [gab, gar, gbr, pa, pb, pr, fa, fb, tags] = key.words;
+        let v = |w| self.value(w);
+        Query {
+            state: ChannelState::new(v(gab), v(gar), v(gbr)),
+            powers: PowerSplit::new(v(pa), v(pb), v(pr)),
+            floor: (tags & 1 == 1).then(|| (f64::from_bits(fa), f64::from_bits(fb))),
+            bound: if tags & 2 == 2 {
+                Bound::Outer
+            } else {
+                Bound::Inner
+            },
+            priority: Priority::Normal,
+        }
+    }
+
+    /// A query's cache key and the quantized query the engine solves on a
+    /// miss, with the caller's priority kept: [`key`](QuantSpec::key)
+    /// then [`snapped`](QuantSpec::snapped).
+    pub fn snap_query(&self, q: &Query) -> (QuantKey, Query) {
+        let key = self.key(q);
+        (key, self.snapped(&key).with_priority(q.priority))
     }
 }
 
@@ -256,6 +295,44 @@ mod tests {
     #[should_panic(expected = "quantization step")]
     fn db_grid_rejects_non_positive_step() {
         let _ = QuantSpec::db_grid(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantization step")]
+    fn db_grid_rejects_steps_whose_indices_saturate() {
+        let _ = QuantSpec::db_grid(1e-17);
+    }
+
+    #[test]
+    fn finest_grid_keeps_extreme_gains_apart() {
+        let spec = QuantSpec::db_grid(QuantSpec::MIN_STEP_DB);
+        let keys = [0.0, 5e-324, f64::MAX].map(|g| spec.key(&q(g, 1.0, 1.0, 1.0)));
+        assert_ne!(keys[0], keys[1], "the least subnormal is not zero");
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
+    }
+
+    #[test]
+    fn a_grid_point_beyond_f64_max_decodes_to_f64_max() {
+        // On a 6 dB grid f64::MAX (3082.5 dB) rounds up to 3084 dB, whose
+        // linear value overflows.
+        let spec = QuantSpec::db_grid(6.0);
+        let (_, s) = spec.snap_query(&q(f64::MAX, 1.0, 1.0, 1.0));
+        assert_eq!(s.state.gab(), f64::MAX);
+    }
+
+    #[test]
+    fn snap_query_keeps_the_priority_that_snapped_drops() {
+        let spec = QuantSpec::default();
+        let query = q(0.2, 1.0, 3.16, 10.0)
+            .with_floor(0.05, 0.07)
+            .with_priority(Priority::High);
+        let (key, s) = spec.snap_query(&query);
+        assert_eq!(key, spec.key(&query));
+        assert_eq!(s.priority, Priority::High);
+        let decoded = spec.snapped(&key);
+        assert_eq!(decoded.priority, Priority::Normal);
+        assert_eq!(decoded.with_priority(Priority::High), s);
     }
 
     #[test]

@@ -73,7 +73,7 @@ enum Plan {
     /// batch's first occurrence of the key (tagged `Kernel`; later
     /// duplicates are cache hits on the shared solve).
     Solve { miss_idx: usize, first: bool },
-    /// Refused by [`Query::validate`] before snapping; answered with the
+    /// Refused by [`Query::validate`] before keying; answered with the
     /// stored error, no solve.
     Invalid(ServeError),
 }
@@ -165,17 +165,21 @@ impl Server {
     /// batch's cost is recorded in [`last_batch`](Server::last_batch)
     /// and the draining thread's [`stats`](crate::stats).
     pub fn drain(&mut self) -> Vec<Result<Decision, ServeError>> {
-        let batch: Vec<Query> = std::mem::take(&mut self.queue);
+        // Swap in an empty queue of the same capacity, so later batches
+        // do not regrow it from nothing.
+        let capacity = self.queue.capacity();
+        let batch = std::mem::replace(&mut self.queue, Vec::with_capacity(capacity));
         if batch.is_empty() {
             self.last_batch = BatchStats::default();
             return Vec::new();
         }
 
-        // Phase 1 (serial): validate, probe the cache, dedup misses by
-        // key. Under an armed fault plan, evict- or corrupt-fated keys
-        // bypass dedup (every occurrence solves fresh, exactly as the
-        // serial engine would), and evict-fated keys also bypass the
-        // probe — so chaos runs stay invariant under batch size.
+        // Phase 1 (serial): validate, key, probe the cache, dedup misses
+        // by key; only a unique miss decodes its grid point. Under an
+        // armed fault plan, evict- or corrupt-fated keys bypass dedup
+        // (every occurrence solves fresh, exactly as the serial engine
+        // would), and evict-fated keys also bypass the probe — so chaos
+        // runs stay invariant under batch size.
         let spec = *self.engine.spec();
         let plan = *self.engine.faults();
         let budget = self.engine.solve_budget();
@@ -192,8 +196,8 @@ impl Server {
                 plans.push(Plan::Invalid(e));
                 continue;
             }
-            let (key, snapped) = spec.snap_query(query);
-            let (evict_fated, corrupt_fated) = cache_fates(&plan, key.hash64());
+            let key = spec.key(query);
+            let (evict_fated, corrupt_fated) = cache_fates(&plan, &key);
             if !evict_fated {
                 if let Some(outcome) = self.engine.cache_mut().get(&key) {
                     plans.push(Plan::Hit(outcome));
@@ -215,7 +219,7 @@ impl Server {
                 miss_of_key.insert(key, miss_idx);
             }
             miss_keys.push(key);
-            miss_queries.push(snapped);
+            miss_queries.push(spec.snapped(&key));
             miss_fates.push((evict_fated, corrupt_fated));
             plans.push(Plan::Solve {
                 miss_idx,
@@ -231,9 +235,8 @@ impl Server {
         // keep the SoA lane kernels.
         let threads = self.threads.unwrap_or_else(bcc_num::par::thread_count);
         let solved: Vec<SolvedMiss> = if chaos {
-            let tokens: Vec<u64> = miss_keys.iter().map(QuantKey::hash64).collect();
             par_map_indexed_with(threads, &miss_queries, SolveCtx::new, |ctx, i, snapped| {
-                solve_guarded(ctx, snapped, tokens[i], &plan, budget)
+                solve_guarded(ctx, snapped, &miss_keys[i], &plan, budget)
             })
         } else {
             solve_misses(threads, &miss_queries)

@@ -11,10 +11,16 @@
 //! streams bitwise. The CI cross-validation matrix runs this file under
 //! `BCC_THREADS=1` and `BCC_THREADS=4`, so the `threads: None` default
 //! path is exercised at both counts as well.
+//!
+//! Two stored digests lock the log's answers (closed loop and drained)
+//! and its snapped keys to the bits they had when recorded: a change to
+//! any served bit or any snapped key fails here, at every opt-level.
 
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_core::protocol::Bound;
-use bcc_serve::{Decision, Engine, LoadSpec, Query, ServeConfig, ServeError, Server, StreamKind};
+use bcc_serve::{
+    Decision, Engine, LoadSpec, QuantSpec, Query, ServeConfig, ServeError, Server, StreamKind,
+};
 
 const SEED: u64 = 0x5E4E_0007;
 
@@ -121,4 +127,64 @@ fn closed_loop_and_batched_paths_agree() {
     let serial: Vec<String> = log.iter().map(|q| fingerprint(&engine.serve(q))).collect();
     let batched = replay_batched(&log, &ServeConfig::default().threads(4), 64);
     assert_eq!(serial, batched);
+}
+
+/// SplitMix64 fold of a word stream: the behaviour lock's digest.
+fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
+    for w in words {
+        let mut z = h ^ w.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 30)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h = z ^ (z >> 31);
+    }
+    h
+}
+
+/// The per-answer fingerprints as words: each string's bytes, then its
+/// length, so answer boundaries are part of the digest.
+fn answer_words(answers: &[String]) -> impl Iterator<Item = u64> + '_ {
+    answers.iter().flat_map(|s| {
+        s.bytes()
+            .map(u64::from)
+            .chain(std::iter::once(s.len() as u64))
+    })
+}
+
+/// Stored digest of the recorded log's answers, closed loop then drained
+/// at one worker. Recorded before the key/decode split of `QuantSpec`.
+const ANSWERS_LOCK: u64 = 0x9f7e_7044_c6e6_a032;
+
+/// Stored digest of every query's key hash and snapped bits under the
+/// default grid and under strict mode. Recorded with the same answers.
+const SNAP_LOCK: u64 = 0xb0c7_23c5_d137_fa01;
+
+#[test]
+fn answers_match_the_stored_lock() {
+    let log = recorded_log();
+    let mut engine = Engine::new(&ServeConfig::default());
+    let closed: Vec<String> = log.iter().map(|q| fingerprint(&engine.serve(q))).collect();
+    let drained = replay_batched(&log, &ServeConfig::default().threads(1), 64);
+    let digest = fold(answer_words(&closed).chain(answer_words(&drained)));
+    assert_eq!(digest, ANSWERS_LOCK, "answers moved: {digest:#018x}");
+}
+
+#[test]
+fn snapping_matches_the_stored_lock() {
+    let log = recorded_log();
+    let mut words = Vec::new();
+    for spec in [QuantSpec::default(), QuantSpec::strict()] {
+        for q in &log {
+            let (key, s) = spec.snap_query(q);
+            words.push(key.hash64());
+            words.extend([s.state.gab(), s.state.gar(), s.state.gbr()].map(f64::to_bits));
+            words.extend([s.powers.p_a(), s.powers.p_b(), s.powers.p_r()].map(f64::to_bits));
+            match s.floor {
+                Some((a, b)) => words.extend([1, a.to_bits(), b.to_bits()]),
+                None => words.push(0),
+            }
+            words.push(u64::from(s.bound == Bound::Outer));
+        }
+    }
+    let digest = fold(words);
+    assert_eq!(digest, SNAP_LOCK, "snapping moved: {digest:#018x}");
 }
