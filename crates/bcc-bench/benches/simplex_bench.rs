@@ -159,7 +159,7 @@ fn bench_block_vs_scalar(c: &mut Criterion) {
                 b.iter(|| {
                     let mut acc = 0.0;
                     for n in &nets {
-                        acc += kernel::max_sum_rate(n, proto).unwrap().sum_rate;
+                        acc += kernel::max_sum_rate(n, proto).sum_rate;
                     }
                     black_box(acc)
                 })
@@ -172,7 +172,7 @@ fn bench_block_vs_scalar(c: &mut Criterion) {
 fn bench_kernel_vs_simplex(c: &mut Criterion) {
     // The same sum-rate queries answered by the closed-form kernel and by
     // the general simplex — the measured gap is what the automatic
-    // dispatch in `SolveCtx::sum_rate` buys per grid point.
+    // dispatch in `SolveCtx::solve_one` buys per grid point.
     use bcc_core::prelude::*;
     use bcc_core::{kernel, optimizer};
     let net = GaussianNetwork::from_db(
@@ -184,7 +184,7 @@ fn bench_kernel_vs_simplex(c: &mut Criterion) {
     for proto in [Protocol::Mabc, Protocol::Tdbc] {
         let name = format!("{proto:?}").to_lowercase();
         c.bench_function(&format!("sum_rate_kernel/{name}"), |b| {
-            b.iter(|| black_box(kernel::max_sum_rate(&net, proto).unwrap().sum_rate))
+            b.iter(|| black_box(kernel::max_sum_rate(&net, proto).sum_rate))
         });
         let set = net.constraint_sets(proto, Bound::Inner).remove(0);
         c.bench_function(&format!("sum_rate_simplex/{name}"), |b| {

@@ -281,8 +281,8 @@ impl PointBlock {
         }
     }
 
-    /// Reconstructs the network of point `i` (for scalar fallbacks —
-    /// outer bounds, QoS floors — that need the full network).
+    /// Reconstructs the network of point `i` (for the per-point
+    /// outer-bound solves, which need the full network).
     pub fn net(&self, i: usize) -> GaussianNetwork {
         GaussianNetwork::with_powers(
             PowerSplit::new(self.pa[i], self.pb[i], self.pr[i]),
@@ -1626,7 +1626,7 @@ mod tests {
             max_sum_rate_block(&b, proto, &mut out);
             assert_eq!(out.len(), nets.len());
             for (i, net) in nets.iter().enumerate() {
-                let scalar = kernel::max_sum_rate(net, proto).expect("covered");
+                let scalar = kernel::max_sum_rate(net, proto);
                 let batch = &out[i];
                 assert_eq!(
                     batch.sum_rate.to_bits(),
@@ -1766,7 +1766,7 @@ mod tests {
                 }
             }
         }
-        let hbc = kernel::max_sum_rate(&grid()[4], Protocol::Hbc).expect("covered");
+        let hbc = kernel::max_sum_rate(&grid()[4], Protocol::Hbc);
         assert_eq!(hbc.durations[3].to_bits(), 0.0f64.to_bits());
     }
 

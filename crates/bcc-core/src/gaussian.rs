@@ -7,7 +7,6 @@
 use crate::bounds;
 use crate::constraint::PhaseVec;
 use crate::error::CoreError;
-use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol};
 use crate::region::RateRegion;
 use bcc_channel::{ChannelState, PowerSplit};
@@ -155,51 +154,15 @@ impl GaussianNetwork {
         }
     }
 
-    /// Optimal *achievable* sum rate of `protocol`, optimising the phase
-    /// durations by LP (the quantity plotted in Fig. 3).
+    /// Optimal *achievable* sum rate of `protocol` over the phase
+    /// durations (the quantity plotted in Fig. 3), by the closed-form
+    /// kernel every protocol has ([`crate::kernel::max_sum_rate`]).
     ///
     /// # Errors
     ///
-    /// Propagates LP failures (not expected for valid inputs).
+    /// Never fails; the `Result` is kept for the existing callers.
     pub fn max_sum_rate(&self, protocol: Protocol) -> Result<SumRateSolution, CoreError> {
-        self.max_sum_rate_with(protocol, &mut bcc_lp::Workspace::new())
-    }
-
-    /// [`GaussianNetwork::max_sum_rate`] reusing `ws` for LP scratch memory
-    /// — the batch entry point used by the
-    /// [`Scenario`](crate::scenario::Scenario) evaluator and the fading
-    /// Monte-Carlo loops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures (not expected for valid inputs).
-    pub fn max_sum_rate_with(
-        &self,
-        protocol: Protocol,
-        ws: &mut bcc_lp::Workspace,
-    ) -> Result<SumRateSolution, CoreError> {
-        // Two-phase protocols collapse to the closed-form kernel — no LP.
-        if let Some(sol) = crate::kernel::max_sum_rate(self, protocol) {
-            return Ok(sol);
-        }
-        // All inner bounds are single sets; solve through the same
-        // phase-substituted formulation as the batch hot path so point
-        // queries and sweeps agree bit for bit.
-        let sets = self.constraint_sets(protocol, Bound::Inner);
-        debug_assert_eq!(sets.len(), 1, "inner bounds are singletons");
-        let mut prob = bcc_lp::Problem::maximize(&[0.0]);
-        let mut sol = bcc_lp::Solution::default();
-        let (mut row, mut obj) = (Vec::new(), Vec::new());
-        let pt: SchedulePoint = crate::kernel::lp_sum_rate_parts(
-            &mut prob, ws, &mut sol, &mut row, &mut obj, &sets[0], None,
-        )?;
-        Ok(SumRateSolution {
-            protocol,
-            sum_rate: pt.objective,
-            ra: pt.ra,
-            rb: pt.rb,
-            durations: pt.durations,
-        })
+        Ok(crate::kernel::max_sum_rate(self, protocol))
     }
 
     /// Received SNR of the `a → r` link (`p_a·G_ar`).

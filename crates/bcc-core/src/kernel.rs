@@ -21,9 +21,9 @@
 //! subdivision (facets × kink planes — a few dozen cross products). The
 //! kernel is dispatched automatically by [`SolveCtx`] (and
 //! `GaussianNetwork::max_sum_rate`) whenever no QoS rate floor and no
-//! outer-bound ρ-family is in play; the simplex remains the fallback for
-//! the HBC max–min, floors and outer families, and serves as the proptest
-//! oracle for every closed form (`bcc-core/tests/kernel_oracle.rs`).
+//! outer bound is in play; the simplex answers the HBC max–min, floors
+//! and outer bounds, and serves as the proptest oracle for every closed
+//! form (`bcc-core/tests/kernel_oracle.rs`).
 //!
 //! The closed forms themselves are implemented **once**, as width-generic
 //! lane kernels in [`crate::batch`]; the scalar entry points here are the
@@ -44,9 +44,19 @@
 //!
 //! [`SolveCtx`] bundles everything a batch worker needs to evaluate
 //! operating points with **zero heap allocations per point** after
-//! warm-up: a [`bcc_lp::Workspace`] (flat tableau + warm-start bases), a
-//! [`ConstraintBuf`] arena the `*_into` bound builders rebuild in place,
-//! a pooled-row [`Problem`], and a reusable [`Solution`].
+//! warm-up: a per-point [`LinkCaps`] memo, a [`ConstraintBuf`] arena the
+//! `*_into` bound builders rebuild in place, and one warm-started simplex
+//! (a [`bcc_lp::Workspace`] of flat tableau and warm-start bases, a
+//! pooled-row [`Problem`] and a reusable [`Solution`]).
+//!
+//! A request takes one of two routes. An inner-bound request the closed
+//! forms cover ([`SolveRequest::is_batchable`]) is answered from the
+//! point's capacities; that test is the one place a new closed form
+//! plugs in. Every other request — QoS floors, outer bounds (HBC's
+//! ρ-family among them) and HBC's max–min — builds its constraint set or
+//! family into the arena and goes through one LP loop, which maximises
+//! the objective over the members and reports infeasibility only when
+//! every member is infeasible.
 //!
 //! # The blocked driver
 //!
@@ -79,19 +89,17 @@ fn record_kernel_hit() {
 
 /// Closed-form `max_sum_rate` — covers **all four** protocols (DT and
 /// MABC by 1-D line crossing, TDBC by 2-simplex vertex enumeration, HBC
-/// by 3-simplex vertex enumeration). Always `Some` for valid inputs.
-pub fn max_sum_rate(net: &GaussianNetwork, protocol: Protocol) -> Option<SumRateSolution> {
+/// by 3-simplex vertex enumeration).
+pub fn max_sum_rate(net: &GaussianNetwork, protocol: Protocol) -> SumRateSolution {
     max_sum_rate_from_caps(&LinkCaps::compute(&net.powers(), &net.state()), protocol)
 }
 
 /// [`max_sum_rate`] from precomputed [`LinkCaps`] (the batch hot path —
-/// one capacity evaluation per point serves every protocol). Covers all
-/// four protocols; the `Option` return is kept for API stability (and
-/// for forward-compat with caps whose structure defeats a closed form).
-pub fn max_sum_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<SumRateSolution> {
+/// one capacity evaluation per point serves every protocol).
+pub fn max_sum_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> SumRateSolution {
     let sol = crate::batch::sum_rate_one(caps, protocol);
     record_kernel_hit();
-    Some(sol)
+    sol
 }
 
 /// Closed-form `max_min_rate` (largest symmetric rate) for DT, MABC and
@@ -230,10 +238,10 @@ impl SolveOutcome {
         }
     }
 
-    fn from_mm(protocol: Protocol, pt: SchedulePoint) -> Self {
+    fn from_point(protocol: Protocol, objective: Objective, pt: SchedulePoint) -> Self {
         SolveOutcome {
             protocol,
-            objective: Objective::MaxMin,
+            objective,
             ra: pt.ra,
             rb: pt.rb,
             durations: pt.durations,
@@ -263,44 +271,21 @@ impl SolveOutcome {
     }
 }
 
-/// A per-worker batch solve context: LP workspace (flat tableau +
-/// warm-start bases), constraint arena, pooled problem builder and
-/// reusable solution — everything needed to evaluate grid points and fade
-/// draws with zero heap allocations per point after warm-up (see the
-/// module docs).
-#[derive(Debug)]
-pub struct SolveCtx {
-    ws: Workspace,
-    buf: ConstraintBuf,
-    prob: Problem,
-    sol: Solution,
-    row: Vec<f64>,
-    obj: Vec<f64>,
-    /// Per-point capacity memo: the four protocols of one grid point share
-    /// one [`LinkCaps`] evaluation (pure function of the key, so caching
-    /// never changes results).
-    caps: Option<(bcc_channel::PowerSplit, bcc_channel::ChannelState, LinkCaps)>,
-    /// Batched-solve scratch, reused across [`SolveCtx::solve_block`]
-    /// calls (amortised to zero allocations per point).
-    scratch_sum: Vec<SumRateSolution>,
-    scratch_pts: Vec<SchedulePoint>,
-}
-
-impl Default for SolveCtx {
-    fn default() -> Self {
-        SolveCtx {
-            ws: Workspace::new(),
-            // Placeholder shape; every solve `reset`s the problem first.
-            prob: Problem::maximize(&[0.0]),
-            buf: ConstraintBuf::new(),
-            sol: Solution::default(),
-            row: Vec::new(),
-            obj: Vec::new(),
-            caps: None,
-            scratch_sum: Vec::new(),
-            scratch_pts: Vec::new(),
-        }
+/// Fails with [`CoreError::Injected`] when the active fault scope fates
+/// this item to kernel poison.
+///
+/// A deterministic chaos hook: the verdict is a pure function of the
+/// scope's token (see `bcc_num::faults::site_fated`) and holds on every
+/// re-examination, so batch drivers fall back per point and serving
+/// layers degrade to a conservative answer. One thread-local read when
+/// no scope is active.
+fn kernel_poison() -> Result<(), CoreError> {
+    if bcc_num::faults::site_fated(bcc_num::faults::FaultSite::KernelPoison) {
+        return Err(CoreError::Injected {
+            site: "kernel poison",
+        });
     }
+    Ok(())
 }
 
 /// Builds the **phase-substituted** LP rows of `set` into `prob`.
@@ -347,172 +332,161 @@ fn durations_from(x: &[f64], l: usize) -> PhaseVec {
     d
 }
 
-/// The warm-started sum-rate LP over `set` with optional QoS floors,
-/// operating on explicitly split context parts (so callers can keep the
-/// constraint arena borrowed alongside).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lp_sum_rate_parts(
-    prob: &mut Problem,
-    ws: &mut Workspace,
-    sol: &mut Solution,
-    row: &mut Vec<f64>,
-    obj: &mut Vec<f64>,
-    set: &ConstraintSet,
-    floor: Option<(f64, f64)>,
-) -> Result<SchedulePoint, CoreError> {
-    let l = set.num_phases();
-    let n = 2 + (l - 1);
-    obj.clear();
-    obj.resize(n, 0.0);
-    obj[0] = 1.0;
-    obj[1] = 1.0;
-    prob.reset(Sense::Maximize, obj);
-    push_constraint_rows(prob, row, set, n);
-    if let Some((ra_min, rb_min)) = floor {
-        row.clear();
-        row.resize(n, 0.0);
-        row[0] = 1.0;
-        prob.subject_to(row, Relation::Ge, ra_min);
-        row[0] = 0.0;
-        row[1] = 1.0;
-        prob.subject_to(row, Relation::Ge, rb_min);
-    }
-    prob.solve_warm_into(ws, sol).map_err(|e| {
-        let what = if floor.is_some() {
-            "sum-rate with QoS floor"
-        } else {
-            "sum-rate"
-        };
-        CoreError::lp(format!("{} {what}", set.name), e)
-    })?;
-    Ok(SchedulePoint {
-        ra: sol.x[0],
-        rb: sol.x[1],
-        durations: durations_from(&sol.x, l),
-        objective: sol.objective,
-    })
+/// The warm-started simplex behind every request the closed forms do not
+/// answer: the LP workspace (flat tableau + warm-start bases), a
+/// pooled-row [`Problem`], a reusable [`Solution`] and row scratch.
+#[derive(Debug)]
+struct Lp {
+    ws: Workspace,
+    prob: Problem,
+    sol: Solution,
+    row: Vec<f64>,
+    obj: Vec<f64>,
 }
 
-/// The warm-started max–min LP over `set` on split context parts.
-pub(crate) fn lp_max_min_parts(
-    prob: &mut Problem,
-    ws: &mut Workspace,
-    sol: &mut Solution,
-    row: &mut Vec<f64>,
-    obj: &mut Vec<f64>,
-    set: &ConstraintSet,
-) -> Result<SchedulePoint, CoreError> {
-    let l = set.num_phases();
-    let n = 2 + (l - 1) + 1;
-    obj.clear();
-    obj.resize(n, 0.0);
-    obj[n - 1] = 1.0;
-    prob.reset(Sense::Maximize, obj);
-    push_constraint_rows(prob, row, set, n);
-    // t − R_a ≤ 0, t − R_b ≤ 0 (kept as `≤` rows so the all-slack basis
-    // stays feasible and no phase-1 pass is needed).
-    row.clear();
-    row.resize(n, 0.0);
-    row[0] = -1.0;
-    row[n - 1] = 1.0;
-    prob.subject_to(row, Relation::Le, 0.0);
-    row[0] = 0.0;
-    row[1] = -1.0;
-    prob.subject_to(row, Relation::Le, 0.0);
-    prob.solve_warm_into(ws, sol)
-        .map_err(|e| CoreError::lp(format!("{} max-min", set.name), e))?;
-    Ok(SchedulePoint {
-        ra: sol.x[0],
-        rb: sol.x[1],
-        durations: durations_from(&sol.x, l),
-        objective: sol.objective,
-    })
+impl Default for Lp {
+    fn default() -> Self {
+        Lp {
+            ws: Workspace::new(),
+            // Placeholder shape; every solve `reset`s the problem first.
+            prob: Problem::maximize(&[0.0]),
+            sol: Solution::default(),
+            row: Vec::new(),
+            obj: Vec::new(),
+        }
+    }
+}
+
+impl Lp {
+    /// `max R_a + R_b` over `set`, with optional QoS floors
+    /// `R_a ≥ ra_min`, `R_b ≥ rb_min`.
+    fn sum_rate(
+        &mut self,
+        set: &ConstraintSet,
+        floor: Option<(f64, f64)>,
+    ) -> Result<SchedulePoint, CoreError> {
+        let l = set.num_phases();
+        let n = 2 + (l - 1);
+        let row = &mut self.row;
+        self.obj.clear();
+        self.obj.resize(n, 0.0);
+        self.obj[0] = 1.0;
+        self.obj[1] = 1.0;
+        self.prob.reset(Sense::Maximize, &self.obj);
+        push_constraint_rows(&mut self.prob, row, set, n);
+        if let Some((ra_min, rb_min)) = floor {
+            row.clear();
+            row.resize(n, 0.0);
+            row[0] = 1.0;
+            self.prob.subject_to(row, Relation::Ge, ra_min);
+            row[0] = 0.0;
+            row[1] = 1.0;
+            self.prob.subject_to(row, Relation::Ge, rb_min);
+        }
+        self.prob
+            .solve_warm_into(&mut self.ws, &mut self.sol)
+            .map_err(|e| {
+                let what = if floor.is_some() {
+                    "sum-rate with QoS floor"
+                } else {
+                    "sum-rate"
+                };
+                CoreError::lp(format!("{} {what}", set.name), e)
+            })?;
+        Ok(self.point(l))
+    }
+
+    /// `max t` subject to `t ≤ R_a`, `t ≤ R_b` over `set`.
+    fn max_min(&mut self, set: &ConstraintSet) -> Result<SchedulePoint, CoreError> {
+        let l = set.num_phases();
+        let n = 2 + (l - 1) + 1;
+        let row = &mut self.row;
+        self.obj.clear();
+        self.obj.resize(n, 0.0);
+        self.obj[n - 1] = 1.0;
+        self.prob.reset(Sense::Maximize, &self.obj);
+        push_constraint_rows(&mut self.prob, row, set, n);
+        // t − R_a ≤ 0, t − R_b ≤ 0 (kept as `≤` rows so the all-slack basis
+        // stays feasible and no phase-1 pass is needed).
+        row.clear();
+        row.resize(n, 0.0);
+        row[0] = -1.0;
+        row[n - 1] = 1.0;
+        self.prob.subject_to(row, Relation::Le, 0.0);
+        row[0] = 0.0;
+        row[1] = -1.0;
+        self.prob.subject_to(row, Relation::Le, 0.0);
+        self.prob
+            .solve_warm_into(&mut self.ws, &mut self.sol)
+            .map_err(|e| CoreError::lp(format!("{} max-min", set.name), e))?;
+        Ok(self.point(l))
+    }
+
+    /// The last solution as an operating point of an `l`-phase set.
+    fn point(&self, l: usize) -> SchedulePoint {
+        SchedulePoint {
+            ra: self.sol.x[0],
+            rb: self.sol.x[1],
+            durations: durations_from(&self.sol.x, l),
+            objective: self.sol.objective,
+        }
+    }
+
+    /// Solves `req`'s objective over each member of `sets` in order and
+    /// keeps the greatest (the earliest of equal optima). Infeasible
+    /// members are skipped; the request is infeasible only when every
+    /// member is.
+    fn best(
+        &mut self,
+        sets: &[ConstraintSet],
+        req: SolveRequest,
+    ) -> Result<SolveOutcome, CoreError> {
+        let mut best: Option<SchedulePoint> = None;
+        let mut infeasible: Option<CoreError> = None;
+        for set in sets {
+            let solved = match req.objective {
+                Objective::SumRate => self.sum_rate(set, req.floor),
+                Objective::MaxMin => self.max_min(set),
+            };
+            match solved {
+                Ok(pt) => {
+                    if best.as_ref().is_none_or(|b| pt.objective > b.objective) {
+                        best = Some(pt);
+                    }
+                }
+                Err(e) if e.is_infeasible() => infeasible = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        match best {
+            Some(pt) => Ok(SolveOutcome::from_point(req.protocol, req.objective, pt)),
+            None => Err(infeasible.expect("constraint families are non-empty")),
+        }
+    }
+}
+
+/// A per-worker batch solve context: a per-point capacity memo, a
+/// constraint arena and the warm-started simplex — everything needed to
+/// evaluate grid points and fade draws with zero heap allocations per
+/// point after warm-up (see the module docs).
+#[derive(Debug, Default)]
+pub struct SolveCtx {
+    lp: Lp,
+    buf: ConstraintBuf,
+    /// Per-point capacity memo: the four protocols of one grid point share
+    /// one [`LinkCaps`] evaluation (pure function of the key, so caching
+    /// never changes results).
+    caps: Option<(bcc_channel::PowerSplit, bcc_channel::ChannelState, LinkCaps)>,
+    /// Batched-solve scratch, reused across [`SolveCtx::solve_block`]
+    /// calls (amortised to zero allocations per point).
+    scratch_sum: Vec<SumRateSolution>,
+    scratch_pts: Vec<SchedulePoint>,
 }
 
 impl SolveCtx {
     /// Creates an empty context (buffers grow to fit on first use).
     pub fn new() -> Self {
         SolveCtx::default()
-    }
-
-    /// The context's LP workspace (for callers that mix direct
-    /// [`bcc_lp`] use with context solves).
-    pub fn workspace(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-
-    /// Solves `max R_a + R_b` over `set` by warm-started simplex, with
-    /// optional QoS floors `R_a ≥ ra_min`, `R_b ≥ rb_min`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures (infeasibility when a floor is
-    /// unachievable).
-    pub fn lp_sum_rate(
-        &mut self,
-        set: &ConstraintSet,
-        floor: Option<(f64, f64)>,
-    ) -> Result<SchedulePoint, CoreError> {
-        let SolveCtx {
-            ws,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        lp_sum_rate_parts(prob, ws, sol, row, obj, set, floor)
-    }
-
-    /// Solves the max–min (symmetric-rate) LP over `set` by warm-started
-    /// simplex.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures.
-    pub fn lp_max_min(&mut self, set: &ConstraintSet) -> Result<SchedulePoint, CoreError> {
-        let SolveCtx {
-            ws,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        lp_max_min_parts(prob, ws, sol, row, obj, set)
-    }
-
-    /// Optimal achievable sum rate of `protocol` at `net` — the scalar
-    /// sweep/outage/DMT hot path: closed-form kernel where available,
-    /// warm-started simplex otherwise.
-    fn sum_rate_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SumRateSolution, CoreError> {
-        let caps = self.link_caps(net);
-        if let Some(sol) = max_sum_rate_from_caps(&caps, protocol) {
-            return Ok(sol);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        buf.begin();
-        bounds::inner_constraints_from_caps_into(protocol, &caps, buf.next_set());
-        let pt = lp_sum_rate_parts(prob, ws, sol, row, obj, &buf.sets()[0], None)?;
-        Ok(SumRateSolution {
-            protocol,
-            sum_rate: pt.objective,
-            ra: pt.ra,
-            rb: pt.rb,
-            durations: pt.durations,
-        })
     }
 
     /// The memoised per-point capacity bundle (see [`LinkCaps`]).
@@ -529,94 +503,69 @@ impl SolveCtx {
         caps
     }
 
-    /// Sum rate of `(protocol, bound)` with an optional QoS floor — the
-    /// general grid-point solve: outer bounds can be set *families*
-    /// (HBC's ρ-family, maximised over members), and floors can make
-    /// members — or the whole family — infeasible (the family is
-    /// infeasible only if every member is).
-    fn sum_rate_for_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<SumRateSolution, CoreError> {
-        if bound == Bound::Inner && floor.is_none() {
-            return self.sum_rate_impl(net, protocol);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        let sets =
-            bounds::constraint_sets_split_into(protocol, bound, &net.powers(), &net.state(), buf);
-        let mut best: Option<SumRateSolution> = None;
-        let mut infeasible: Option<CoreError> = None;
-        for set in sets {
-            let pt = match lp_sum_rate_parts(prob, ws, sol, row, obj, set, floor) {
-                Ok(pt) => pt,
-                Err(e) if e.is_infeasible() => {
-                    infeasible = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if best.as_ref().is_none_or(|b| pt.objective > b.sum_rate) {
-                best = Some(SumRateSolution {
-                    protocol,
-                    sum_rate: pt.objective,
-                    ra: pt.ra,
-                    rb: pt.rb,
-                    durations: pt.durations,
-                });
-            }
-        }
-        match best {
-            Some(sol) => Ok(sol),
-            None => Err(infeasible.expect("constraint families are non-empty")),
-        }
-    }
-
-    /// Resolves one [`SolveRequest`] at `net`: closed-form kernel where
-    /// the request [is batchable](SolveRequest::is_batchable),
-    /// warm-started simplex otherwise (outer-bound families are
-    /// maximised over members; a floor is honoured for the sum-rate
-    /// objective and ignored for max–min).
+    /// Resolves one [`SolveRequest`] at `net`.
+    ///
+    /// An inner-bound request reads the point's memoised [`LinkCaps`];
+    /// the closed-form kernel answers it if it [is
+    /// batchable](SolveRequest::is_batchable), otherwise the warm-started
+    /// simplex solves the inner set built from those caps. An outer-bound
+    /// request builds its constraint family (HBC's is a ρ-family) and
+    /// takes the best member. A floor is honoured for the sum-rate
+    /// objective and ignored for max–min.
     ///
     /// # Errors
     ///
     /// Propagates LP failures; with a floor, an infeasibility error
-    /// means the floor is unachievable at this operating point.
+    /// means the floor is unachievable at this operating point (by every
+    /// member of an outer family). Fails with [`CoreError::Injected`] for
+    /// a point the active fault scope poisons.
     pub fn solve_one(
         &mut self,
         net: &GaussianNetwork,
         req: SolveRequest,
     ) -> Result<SolveOutcome, CoreError> {
-        // Deterministic chaos hook: an item fated to kernel poison (a pure
-        // function of the active fault scope's token — see
-        // `bcc_num::faults::site_fated`) fails here, before any
-        // computation, and keeps failing on every re-examination, so batch
-        // drivers fall back per point and serving layers degrade to a
-        // conservative answer. One thread-local read when no scope is
-        // active.
-        if bcc_num::faults::site_fated(bcc_num::faults::FaultSite::KernelPoison) {
-            return Err(CoreError::Injected {
-                site: "kernel poison",
+        kernel_poison()?;
+        match req.bound {
+            Bound::Inner => {
+                let caps = self.link_caps(net);
+                self.solve_inner(&caps, req)
+            }
+            Bound::Outer => {
+                let sets = bounds::constraint_sets_split_into(
+                    req.protocol,
+                    req.bound,
+                    &net.powers(),
+                    &net.state(),
+                    &mut self.buf,
+                );
+                self.lp.best(sets, req)
+            }
+        }
+    }
+
+    /// One inner-bound request from its point's capacity bundle: the
+    /// closed form where the request is batchable, else the LP over the
+    /// inner set built from `caps`.
+    fn solve_inner(
+        &mut self,
+        caps: &LinkCaps,
+        req: SolveRequest,
+    ) -> Result<SolveOutcome, CoreError> {
+        if req.is_batchable() {
+            return Ok(match req.objective {
+                Objective::SumRate => {
+                    SolveOutcome::from_sum(max_sum_rate_from_caps(caps, req.protocol))
+                }
+                Objective::MaxMin => {
+                    let pt = max_min_rate_from_caps(caps, req.protocol)
+                        .expect("is_batchable excludes HBC max-min");
+                    SolveOutcome::from_point(req.protocol, req.objective, pt)
+                }
             });
         }
-        match req.objective {
-            Objective::SumRate => self
-                .sum_rate_for_impl(net, req.protocol, req.bound, req.floor)
-                .map(SolveOutcome::from_sum),
-            Objective::MaxMin => self
-                .max_min_for_impl(net, req.protocol, req.bound)
-                .map(|pt| SolveOutcome::from_mm(req.protocol, pt)),
-        }
+        self.buf.begin();
+        bounds::inner_constraints_from_caps_into(req.protocol, caps, self.buf.next_set());
+        self.lp.best(self.buf.sets(), req)
     }
 
     /// Resolves one [`SolveRequest`] for **every point of a block**,
@@ -624,20 +573,21 @@ impl SolveCtx {
     ///
     /// [Batchable](SolveRequest::is_batchable) requests run through the
     /// SIMD-ready lane kernels of [`crate::batch`] (bit-identical to the
-    /// scalar path); the HBC max–min over the inner bound reuses the
-    /// block's capacity lanes and warm-starts the simplex per point;
-    /// everything else falls back to per-point [`SolveCtx::solve_one`].
+    /// scalar path). Every other request goes point by point, exactly as
+    /// [`SolveCtx::solve_one`] would: an inner-bound one builds its set
+    /// from the block's capacity lanes, an outer-bound one from the
+    /// point's network.
     ///
     /// # Errors
     ///
-    /// Propagates LP failures from the non-batched paths; on error `out`
-    /// may hold outcomes for a prefix of the block.
+    /// Propagates the per-point failures of [`SolveCtx::solve_one`]; on
+    /// error `out` may hold outcomes for a prefix of the block.
     ///
     /// # Panics
     ///
-    /// Panics if the request is batchable (or HBC max–min over the inner
-    /// bound) and [`PointBlock::compute_caps`] has not run
-    /// since the block's last push.
+    /// Panics if the request is over the inner bound and
+    /// [`PointBlock::compute_caps`] has not run since the block's last
+    /// push.
     pub fn solve_block(
         &mut self,
         block: &PointBlock,
@@ -660,39 +610,23 @@ impl SolveCtx {
                         &mut self.scratch_pts,
                     );
                     debug_assert!(covered, "is_batchable excludes HBC max-min");
-                    let protocol = req.protocol;
                     out.extend(
                         self.scratch_pts
                             .drain(..)
-                            .map(|pt| SolveOutcome::from_mm(protocol, pt)),
+                            .map(|pt| SolveOutcome::from_point(req.protocol, req.objective, pt)),
                     );
                 }
             }
             return Ok(());
         }
-        if req.objective == Objective::MaxMin && req.bound == Bound::Inner {
-            // HBC max–min (and floored max–min requests): share the
-            // block's capacity lanes, one warm-started LP per point.
-            for i in 0..block.len() {
-                let caps = block.caps(i);
-                let SolveCtx {
-                    ws,
-                    buf,
-                    prob,
-                    sol,
-                    row,
-                    obj,
-                    ..
-                } = self;
-                buf.begin();
-                bounds::inner_constraints_from_caps_into(req.protocol, &caps, buf.next_set());
-                let pt = lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])?;
-                out.push(SolveOutcome::from_mm(req.protocol, pt));
-            }
-            return Ok(());
-        }
         for i in 0..block.len() {
-            let outcome = self.solve_one(&block.net(i), req)?;
+            let outcome = match req.bound {
+                Bound::Inner => {
+                    kernel_poison()?;
+                    self.solve_inner(&block.caps(i), req)?
+                }
+                Bound::Outer => self.solve_one(&block.net(i), req)?,
+            };
             out.push(outcome);
         }
         Ok(())
@@ -740,77 +674,6 @@ impl SolveCtx {
             }
         }
         Ok(best)
-    }
-
-    /// Optimal achievable equal-rate (max–min) operating point of
-    /// `protocol` at `net` — closed-form kernel where available,
-    /// warm-started zero-allocation simplex otherwise.
-    fn max_min_rate_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SchedulePoint, CoreError> {
-        let caps = self.link_caps(net);
-        if let Some(pt) = max_min_rate_from_caps(&caps, protocol) {
-            return Ok(pt);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        buf.begin();
-        bounds::inner_constraints_from_caps_into(protocol, &caps, buf.next_set());
-        lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])
-    }
-
-    /// Max–min rate of `(protocol, bound)` — the general form of
-    /// [`SolveCtx::max_min_rate_impl`]: outer bounds can be set
-    /// *families* (HBC's ρ-family), maximised over members exactly like
-    /// [`SolveCtx::sum_rate_for_impl`].
-    fn max_min_for_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-    ) -> Result<SchedulePoint, CoreError> {
-        if bound == Bound::Inner {
-            return self.max_min_rate_impl(net, protocol);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        let sets =
-            bounds::constraint_sets_split_into(protocol, bound, &net.powers(), &net.state(), buf);
-        let mut best: Option<SchedulePoint> = None;
-        let mut infeasible: Option<CoreError> = None;
-        for set in sets {
-            let pt = match lp_max_min_parts(prob, ws, sol, row, obj, set) {
-                Ok(pt) => pt,
-                Err(e) if e.is_infeasible() => {
-                    infeasible = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if best.as_ref().is_none_or(|b| pt.objective > b.objective) {
-                best = Some(pt);
-            }
-        }
-        match best {
-            Some(pt) => Ok(pt),
-            None => Err(infeasible.expect("constraint families are non-empty")),
-        }
     }
 }
 
@@ -918,7 +781,7 @@ mod tests {
     fn dt_sum_rate_matches_simplex() {
         for p in [0.0, 0.5, 10.0, 31.6] {
             let n = fig4(p);
-            let kernel = max_sum_rate(&n, Protocol::DirectTransmission).unwrap();
+            let kernel = max_sum_rate(&n, Protocol::DirectTransmission);
             let sets = n.constraint_sets(Protocol::DirectTransmission, Bound::Inner);
             let lp = optimizer::max_sum_rate(&sets[0]).unwrap();
             assert!(
@@ -936,7 +799,7 @@ mod tests {
         for p in [0.5, 2.0, 10.0] {
             for (gar, gbr) in [(1.0, 1.0), (0.2, 5.0), (10.0, 0.01), (3.0, 3.0)] {
                 let n = net(p, 1.0, gar, gbr);
-                let kernel = max_sum_rate(&n, Protocol::Mabc).unwrap();
+                let kernel = max_sum_rate(&n, Protocol::Mabc);
                 let sets = n.constraint_sets(Protocol::Mabc, Bound::Inner);
                 let lp = optimizer::max_sum_rate(&sets[0]).unwrap();
                 assert!(
@@ -988,10 +851,7 @@ mod tests {
     #[test]
     fn kernel_coverage_matches_dispatch_rules() {
         let n = fig4(10.0);
-        // Sum rate: every protocol has a closed form.
-        assert!(max_sum_rate(&n, Protocol::Tdbc).is_some());
-        assert!(max_sum_rate(&n, Protocol::Hbc).is_some());
-        // Max–min: everything but HBC.
+        // Max–min: everything but HBC (every sum rate has a closed form).
         assert!(max_min_rate(&n, Protocol::Tdbc).is_some());
         assert!(max_min_rate(&n, Protocol::Hbc).is_none());
     }
@@ -1009,7 +869,7 @@ mod tests {
                 (0.5, 10.0, 0.1),
             ] {
                 let n = net(p, gab, gar, gbr);
-                let kernel = max_sum_rate(&n, Protocol::Hbc).unwrap();
+                let kernel = max_sum_rate(&n, Protocol::Hbc);
                 let sets = n.constraint_sets(Protocol::Hbc, Bound::Inner);
                 let lp = optimizer::max_sum_rate(&sets[0]).unwrap();
                 assert!(
@@ -1070,7 +930,7 @@ mod tests {
                 (1.0, 0.0, 1.0),
             ] {
                 let n = net(p, gab, gar, gbr);
-                let kernel = max_sum_rate(&n, Protocol::Tdbc).unwrap();
+                let kernel = max_sum_rate(&n, Protocol::Tdbc);
                 let sets = n.constraint_sets(Protocol::Tdbc, Bound::Inner);
                 let lp = optimizer::max_sum_rate(&sets[0]).unwrap();
                 assert!(
@@ -1096,7 +956,7 @@ mod tests {
             ChannelState::new(1.0, 1.0, 1.0),
         );
         for proto in [Protocol::DirectTransmission, Protocol::Mabc] {
-            let s = max_sum_rate(&dead, proto).unwrap();
+            let s = max_sum_rate(&dead, proto);
             assert!(approx_eq(s.sum_rate, 0.0, 1e-12), "{proto}");
             let t = max_min_rate(&dead, proto).unwrap();
             assert!(approx_eq(t.objective, 0.0, 1e-12), "{proto}");
@@ -1106,7 +966,7 @@ mod tests {
             PowerSplit::new(10.0, 10.0, 0.0),
             ChannelState::new(1.0, 1.0, 1.0),
         );
-        let s = max_sum_rate(&silent_relay, Protocol::Mabc).unwrap();
+        let s = max_sum_rate(&silent_relay, Protocol::Mabc);
         assert!(approx_eq(s.sum_rate, 0.0, 1e-9), "no broadcast, no rate");
     }
 
@@ -1294,21 +1154,57 @@ mod tests {
     }
 
     #[test]
-    fn ctx_family_maximum_matches_per_member_solves() {
-        let mut ctx = SolveCtx::new();
-        let n = fig4(10.0);
-        let fam = ctx
+    fn lp_zeros_are_positive_at_every_opt_level() {
+        // Outer TDBC at P = 1, G = (5, 0.5, 0.5) puts the whole frame in
+        // phase 1, so the simplex clamps the other two durations to zero.
+        let out = SolveCtx::new()
             .solve_one(
-                &n,
-                SolveRequest::sum_rate(Protocol::Hbc).with_bound(Bound::Outer),
+                &net(1.0, 5.0, 0.5, 0.5),
+                SolveRequest::sum_rate(Protocol::Tdbc).with_bound(Bound::Outer),
             )
-            .unwrap()
-            .sum_rate_solution();
-        let direct: f64 = n
-            .constraint_sets(Protocol::Hbc, Bound::Outer)
+            .unwrap();
+        let fields = [out.ra, out.rb, out.value];
+        let zeros: Vec<f64> = fields
             .iter()
-            .map(|s| optimizer::max_sum_rate(s).unwrap().objective)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!(approx_eq(fam.sum_rate, direct, 1e-9));
+            .chain(out.durations.iter())
+            .copied()
+            .filter(|v| *v == 0.0)
+            .collect();
+        assert!(zeros.len() >= 2, "{out:?}");
+        for z in zeros {
+            assert_eq!(z.to_bits(), 0.0f64.to_bits(), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn ctx_family_maximum_matches_per_member_solves() {
+        type Oracle = fn(&ConstraintSet) -> Result<SchedulePoint, CoreError>;
+        let mut ctx = SolveCtx::new();
+        for n in [fig4(10.0), fig4(1.0), net(5.0, 1.0, 0.2, 4.0)] {
+            for proto in [Protocol::Tdbc, Protocol::Hbc] {
+                let sets = n.constraint_sets(proto, Bound::Outer);
+                let cases: [(SolveRequest, Oracle); 2] = [
+                    (SolveRequest::sum_rate(proto), optimizer::max_sum_rate),
+                    (SolveRequest::max_min(proto), optimizer::max_min_rate),
+                ];
+                for (req, oracle) in cases {
+                    let got = ctx.solve_one(&n, req.with_bound(Bound::Outer)).unwrap();
+                    let direct = sets
+                        .iter()
+                        .map(|s| oracle(s).unwrap().objective)
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    assert!(
+                        approx_eq(got.value, direct, 1e-9),
+                        "{req:?}: {} vs {direct}",
+                        got.value
+                    );
+                    assert!(
+                        sets.iter()
+                            .any(|s| s.all_satisfied(got.ra, got.rb, &got.durations, 1e-9)),
+                        "{req:?}: the optimum lies in no member"
+                    );
+                }
+            }
+        }
     }
 }

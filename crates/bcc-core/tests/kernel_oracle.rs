@@ -38,9 +38,7 @@ fn as_point(sol: &bcc_core::gaussian::SumRateSolution) -> SchedulePoint {
 
 /// Shared oracle check for one `(protocol, network)` sum-rate query.
 fn check_sum_rate(net: &GaussianNetwork, protocol: Protocol) {
-    let Some(kernel_sol) = kernel::max_sum_rate(net, protocol) else {
-        return; // protocol not covered by the kernel (HBC)
-    };
+    let kernel_sol = kernel::max_sum_rate(net, protocol);
     let sets = bounds::constraint_sets_split(protocol, Bound::Inner, &net.powers(), &net.state());
     let set = &sets[0];
     let lp = optimizer::max_sum_rate(set).expect("oracle solvable");
@@ -183,7 +181,7 @@ fn kernel_handles_extreme_scales() {
     for (p, gab, gar, gbr) in cases {
         let net = GaussianNetwork::new(p, ChannelState::new(gab, gar, gbr));
         for proto in Protocol::ALL {
-            let k = kernel::max_sum_rate(&net, proto).expect("covered");
+            let k = kernel::max_sum_rate(&net, proto);
             let sets = net.constraint_sets(proto, Bound::Inner);
             let lp = optimizer::max_sum_rate(&sets[0]).expect("solvable");
             assert!(

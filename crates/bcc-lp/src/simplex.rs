@@ -310,6 +310,17 @@ impl Tableau<'_> {
     }
 }
 
+/// Clamps a basic variable's value at zero from below. Spelt as a select,
+/// not `f64::max`: which zero `max(-0.0, 0.0)` returns depends on the
+/// opt-level, while this always returns `+0.0` (and `0.0` for NaN).
+fn nonneg(v: f64) -> f64 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
 /// LU-factors the row-major `m × m` matrix `lu` in place with partial
 /// pivoting (row swaps recorded in `perm`). Returns `false` when a pivot
 /// falls below [`SINGULAR_TOL`].
@@ -486,7 +497,7 @@ fn canonical_extract(rows: &[Row], nstruct: usize, ws: &mut Workspace, x: &mut V
         x.resize(nstruct, 0.0);
         for (k, &col) in cols.iter().enumerate() {
             if col < nstruct {
-                x[col] = xb[k].max(0.0);
+                x[col] = nonneg(xb[k]);
             }
         }
         true
@@ -593,7 +604,7 @@ fn warm_attempt(
         out.x.resize(nstruct, 0.0);
         for (k, &col) in cols.iter().enumerate() {
             if col < nstruct {
-                out.x[col] = xb[k].max(0.0);
+                out.x[col] = nonneg(xb[k]);
             }
         }
         out.objective = c.iter().zip(&out.x).map(|(ci, xi)| ci * xi).sum();
@@ -846,7 +857,7 @@ pub(crate) fn solve_max_into(
         x.resize(nstruct, 0.0);
         for (r, &b) in ws.basis.iter().enumerate() {
             if b < nstruct {
-                x[b] = ws.a[r * stride + ncols].max(0.0);
+                x[b] = nonneg(ws.a[r * stride + ncols]);
             }
         }
     }

@@ -48,7 +48,10 @@ fn brute_force(obj: (f64, f64), cons: &[Line]) -> Option<f64> {
             if let Some((x, y)) = intersect(&lines[i], &lines[j]) {
                 if feasible(x, y, cons) {
                     let v = obj.0 * x + obj.1 * y;
-                    best = Some(best.map_or(v, |b: f64| b.max(v)));
+                    best = Some(match best {
+                        Some(b) if b >= v => b,
+                        _ => v,
+                    });
                 }
             }
         }
@@ -117,7 +120,9 @@ proptest! {
         let mut p = Problem::maximize(&c);
         p.subject_to(&vec![1.0; c.len()], Relation::Eq, 1.0);
         let s = p.solve().expect("simplex is feasible");
-        let expected = c.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let expected = c
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
         prop_assert!((s.objective - expected).abs() < 1e-7);
         let total: f64 = s.x.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-7);

@@ -71,12 +71,10 @@ proptest! {
     ) {
         let mut warm_ws = Workspace::new();
         for k in 0..steps {
-            let caps = [
-                (base[0] + drift[0] * k as f64).max(1e-3),
-                (base[1] + drift[1] * k as f64).max(1e-3),
-                (base[2] + drift[2] * k as f64).max(1e-3),
-                (base[3] + drift[3] * k as f64).max(1e-3),
-            ];
+            let caps: [f64; 4] = std::array::from_fn(|i| {
+                let c = base[i] + drift[i] * k as f64;
+                if c > 1e-3 { c } else { 1e-3 }
+            });
             let p = sum_rate_lp(&caps, 1.0);
             let warm = p.solve_warm_with(&mut warm_ws).expect("feasible");
             let cold = p.solve_with(&mut Workspace::new()).expect("feasible");

@@ -14,7 +14,7 @@ use crate::stats::ServeStats;
 use bcc_core::batch;
 use bcc_core::kernel::SolveRequest;
 use bcc_core::protocol::Protocol;
-use bcc_core::{CoreError, Objective, SolveCtx};
+use bcc_core::{Objective, SolveCtx};
 use bcc_lp::LpStats;
 use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -238,9 +238,7 @@ fn guarded(
         Ok(out) => Ok(Outcome::Decided(DecisionCore::from_solution(
             &out.sum_rate_solution(),
         ))),
-        Err(e) if e.is_infeasible() || matches!(e, CoreError::RateUnachievable { .. }) => {
-            Err(ServeError::DegradedUnavailable { reason })
-        }
+        Err(e) if e.is_infeasible() => Err(ServeError::DegradedUnavailable { reason }),
         Err(e) => Err(ServeError::Solver(e)),
     };
     (outcome, Some(reason))

@@ -187,7 +187,7 @@ proptest! {
             sums.clear();
             bcc_core::batch::max_sum_rate_block(&block, proto, &mut sums);
             for (n, got) in nets.iter().zip(&sums) {
-                let want = kernel::max_sum_rate(n, proto).unwrap();
+                let want = kernel::max_sum_rate(n, proto);
                 prop_assert_eq!(got.sum_rate.to_bits(), want.sum_rate.to_bits(), "{proto}");
                 prop_assert_eq!(got.ra.to_bits(), want.ra.to_bits(), "{proto}");
                 prop_assert_eq!(got.rb.to_bits(), want.rb.to_bits(), "{proto}");
