@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the rate-region machinery: per-protocol
-//! sum-rate LPs (the Fig. 3 inner loop), full boundary traces (the
-//! Fig. 4 inner loop), and the batched `Scenario` sweep against the naive
-//! per-point loop it replaced.
+//! closed-form optimal sum rates (the Fig. 3 inner loop; the group keeps
+//! its `sum_rate_lp` id), full boundary traces (the Fig. 4 inner loop),
+//! and the batched `Scenario` sweep against the naive per-point loop it
+//! replaced.
 
 use bcc_bench::fig4_network;
 use bcc_core::protocol::{Bound, Protocol};
@@ -46,8 +47,8 @@ fn bench_membership(c: &mut Criterion) {
 }
 
 fn bench_batched_sweep(c: &mut Criterion) {
-    // The Fig. 3 inner loop both ways: the batch evaluator (one reused LP
-    // workspace for the whole grid) versus fresh per-point evaluation.
+    // The Fig. 3 inner loop both ways: the batch evaluator (SoA lane
+    // kernels over the whole grid) versus fresh per-point evaluation.
     let net = fig4_network(0.0);
     let powers: Vec<f64> = (-10..=25).map(f64::from).collect();
     let mut group = c.benchmark_group("power_sweep_36pts");

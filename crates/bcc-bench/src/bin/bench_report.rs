@@ -16,9 +16,7 @@
 //!   relative error meets the 10% budget (time-to-fixed-relative-error).
 //!   Its extras record the achieved `rel_err`, the trial budget
 //!   `is_trials`, the IS-vs-plain-MC per-trial variance ratio
-//!   `var_ratio`, and the z-score against the closed-form tail; the gate
-//!   requires the 1e-6 tail resolved in fewer trials than plain MC needs
-//!   for 1e-3;
+//!   `var_ratio`, and the z-score against the closed-form tail;
 //! * **`multipair_k3`** — a 4 001-point, three-pair shared-relay sweep
 //!   (sum-rate *and* max–min per pair × protocol, ~96k solves through
 //!   the blocked `point × pair` fan-out);
@@ -28,23 +26,14 @@
 //!   the streamed `CityEvaluator` (~384k batched solves), then the
 //!   greedy/random/refined assignment comparison. Its extras record the
 //!   mean congestion-free `assignment_rate` (greedy) and `random_rate`
-//!   plus the time-shared refined rate; the gates require
-//!   `assignment_rate ≥ random_rate` (a per-pair-max dominance that can
-//!   only break if the reduction itself breaks) and the allocation-free
-//!   hot loop (`allocs_per_point ≤ 0.05` over the edge grid);
+//!   plus the time-shared refined rate;
 //! * **`serve_loadgen`** — the serving layer's canonical load study
 //!   (`bcc_bench::servestudy`): a 40k-query hot-set stream through a
 //!   `bcc-serve` engine, closed loop (throughput + p50/p99/p999 service
 //!   times) and batched drain, plus a 200k-query repeated-state all-hit
 //!   stream, plus a chaos pass of the same stream under the canonical
 //!   `servestudy::chaos_plan` fault plan (asserted bit-identical across
-//!   worker counts first). Its gates are direction-aware: `qps` may not
-//!   drop below baseline ÷ tolerance, the repeated stream must hit the
-//!   cache, serve misses must reach the closed-form kernel, the
-//!   fault-free stream must record **zero** degraded answers, and the
-//!   injected stream must record **some** degraded answers, reject its
-//!   malformed queries, and contain every injected panic
-//!   (`chaos_panics == 0`).
+//!   worker counts first).
 //!
 //! Serial numbers pin the evaluator to one worker
 //! (`Scenario::threads(1)`); parallel numbers use the ambient policy
@@ -69,19 +58,12 @@
 //! ```
 //!
 //! `--out` defaults to `results/BENCH_evaluator.json`. With `--check`, the
-//! run exits non-zero if the Fig. 3 sweep's wall time regressed more than
-//! 15% against the committed baseline (serial and parallel each), **or if
-//! a fast path silently turned off**: `kernel_hits == 0` or
-//! `batched_points == 0` on the Fig. 3 sweep (every solve there is
-//! closed-form and must run through the SoA lane kernels), or
-//! `warm_hits == 0` summed across all scenarios (a floor-free inner
-//! sweep never touches the simplex now, so the warm path's canary is the
-//! serve study's floored sub-stream). The factor is overridable via
-//! `BCC_BENCH_TOLERANCE` (≥ 1.0) for runners slower than the baseline
-//! machine. Refresh the baseline by copying a trusted run's
-//! `BENCH_evaluator.json` over `ci/bench_baseline.json`.
+//! run prints one verdict per rule of the [`gates`] table, which lists
+//! the rules and their bounds, and exits 1 if any rule fails. Refresh the
+//! baseline by copying a trusted run's `BENCH_evaluator.json` over
+//! `ci/bench_baseline.json`.
 
-use bcc_bench::{benchjson, fig4_network, results_dir, FIG3_GAB_DB, FIG3_POWER_DB};
+use bcc_bench::{benchjson, fig4_network, results_dir, servestudy, FIG3_GAB_DB, FIG3_POWER_DB};
 use bcc_core::comparison::sum_rate_crossover_db;
 use bcc_core::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,28 +99,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Panic-hook invocations whose payload is *not* the injected chaos
-/// marker — a genuine panic anywhere in the run. The serve scenario's
-/// chaos pass gates on this staying zero.
-static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Counts genuine panics and silences the injected ones (their unwinds
-/// are caught and degraded by the serve engine; the default hook would
-/// bury the report in backtraces).
-fn install_panic_audit() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected worker panic"));
-        if !injected {
-            GENUINE_PANICS.fetch_add(1, Relaxed);
-            previous(info);
-        }
-    }));
-}
 
 /// Default regression tolerance of `--check`: measured wall time may
 /// exceed the baseline by at most this factor. Override with
@@ -189,6 +149,15 @@ impl Timing {
     fn speedup(&self) -> f64 {
         self.serial_ms / self.parallel_ms
     }
+
+    /// The scenario-specific metric `key`; panics if it is not recorded.
+    fn extra(&self, key: &str) -> f64 {
+        self.extra
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("{} records {key}", self.name))
+    }
 }
 
 fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -237,10 +206,6 @@ fn crossover_scenario() -> Scenario {
         fig4_network(0.0),
         (0..=17_500).map(|k| -10.0 + f64::from(k) * 0.002),
     )
-}
-
-fn outage_scenario() -> Scenario {
-    Scenario::at(fig4_network(10.0)).rayleigh(10_000, 0xBCC0_0001)
 }
 
 /// The K-pair workload: 4 001 power points × the canonical E-M1 study
@@ -354,7 +319,8 @@ fn time_crossover(parallel_threads: usize) -> Timing {
 
 fn time_outage(parallel_threads: usize) -> Timing {
     let outage = |&mut threads: &mut usize| {
-        outage_scenario()
+        Scenario::at(fig4_network(10.0))
+            .rayleigh(10_000, 0xBCC0_0001)
             .threads(threads)
             .build()
             .outage()
@@ -372,11 +338,11 @@ fn time_outage(parallel_threads: usize) -> Timing {
 
 /// The deep-outage workload (`bcc_bench::deepstudy`): escalates the
 /// trial ladder until the importance-sampled DT tail near 1e-6 meets the
-/// 10% relative-error budget, then times that rung serial vs parallel
-/// (bit-identity asserted on the full result first). The extras carry
-/// the quality metrics the gate asserts on: achieved relative error,
-/// the winning trial budget, the per-trial variance advantage over plain
-/// MC (`p(1−p)/var`), and the z-score against the closed-form tail.
+/// 10% relative-error budget, then times that rung through
+/// [`time_scenario`]. The extras carry the quality metrics the gate
+/// asserts on: achieved relative error, the winning trial budget, the
+/// per-trial variance advantage over plain MC (`p(1−p)/var`), and the
+/// z-score against the closed-form tail.
 fn time_deep_outage(parallel_threads: usize) -> Timing {
     use bcc_bench::deepstudy;
     let spec = deepstudy::deep_spec();
@@ -389,35 +355,30 @@ fn time_deep_outage(parallel_threads: usize) -> Timing {
     };
     let cell_of = |res: &bcc_core::DeepOutageResult| *res.cell(Protocol::DirectTransmission, 0, 0);
 
-    // Time to fixed relative error: climb the ladder until the 10%
-    // budget is met (the last rung is reported even if it falls short —
-    // the gate, not the ladder, fails the run then).
-    let mut trials = *deepstudy::TRIAL_LADDER.last().expect("non-empty ladder");
-    let mut serial = None;
-    for &rung in &deepstudy::TRIAL_LADDER {
-        let res = run(rung, 1);
-        let done = cell_of(&res)
-            .rel_error
-            .is_some_and(|r| r <= deepstudy::REL_ERR_TARGET);
-        trials = rung;
-        serial = Some(res);
-        if done {
-            break;
-        }
-    }
-    let serial = serial.expect("ladder is non-empty");
-    let parallel = run(trials, parallel_threads);
-    assert_eq!(
-        cell_of(&serial),
-        cell_of(&parallel),
-        "parallel deep outage must be bit-identical"
+    // Time to fixed relative error: the first rung that meets the 10%
+    // budget (the last rung is reported even if it falls short — the
+    // gate, not the ladder, fails the run then).
+    let trials = deepstudy::TRIAL_LADDER
+        .into_iter()
+        .find(|&rung| {
+            cell_of(&run(rung, 1))
+                .rel_error
+                .is_some_and(|r| r <= deepstudy::REL_ERR_TARGET)
+        })
+        .unwrap_or(*deepstudy::TRIAL_LADDER.last().expect("non-empty ladder"));
+    let (mut timing, serial) = time_scenario(
+        "deep_outage",
+        (1, trials, trials),
+        parallel_threads,
+        |t| t,
+        |&mut threads: &mut usize| run(trials, threads),
     );
 
     let cell = cell_of(&serial);
     let p = cell.probability.expect("tilted estimate resolves");
     let rel = cell.rel_error.expect("resolved");
     let exact = bcc_core::analytic_outage(
-        &bcc_bench::fig4_network(deepstudy::POWER_DB),
+        &fig4_network(deepstudy::POWER_DB),
         Protocol::DirectTransmission,
         FadingModel::Rayleigh,
         serial.target_rate(0, 0),
@@ -429,32 +390,15 @@ fn time_deep_outage(parallel_threads: usize) -> Timing {
     // the cell's estimator variance.
     let var_ratio = p * (1.0 - p) / cell.variance;
     let abs_z = (p - exact).abs() / (rel * p);
-
-    let mix = measure_mix(trials, || {
-        run(trials, 1);
-    });
-    let serial_ms = best_ms(REPS, || {
-        run(trials, 1);
-    });
-    let parallel_ms = best_ms(REPS, || {
-        run(trials, parallel_threads);
-    });
-    Timing {
-        name: "deep_outage",
-        points: 1,
-        trials,
-        serial_ms,
-        parallel_ms,
-        mix,
-        extra: vec![
-            ("rel_err", rel),
-            ("is_trials", trials as f64),
-            ("var_ratio", var_ratio),
-            ("prob_x1e9", p * 1e9),
-            ("exact_x1e9", exact * 1e9),
-            ("abs_z", abs_z),
-        ],
-    }
+    timing.extra = vec![
+        ("rel_err", rel),
+        ("is_trials", trials as f64),
+        ("var_ratio", var_ratio),
+        ("prob_x1e9", p * 1e9),
+        ("exact_x1e9", exact * 1e9),
+        ("abs_z", abs_z),
+    ];
+    timing
 }
 
 fn time_multipair(parallel_threads: usize) -> Timing {
@@ -522,12 +466,18 @@ fn time_city(parallel_threads: usize) -> Timing {
 /// `repeated_qps`), latency quantiles and the cache hit counters the
 /// gate asserts on.
 fn time_serve(parallel_threads: usize) -> Timing {
-    use bcc_bench::servestudy;
-    use bcc_serve::{ServedFrom, Server};
+    use bcc_serve::{Query, ServeConfig, ServedFrom, Server};
 
-    let queries = servestudy::mixed_stream().queries(servestudy::MIXED_QUERIES);
-    let drain_all = |threads: usize| {
-        let mut server = Server::new(&servestudy::config().threads(threads));
+    // One closed-loop pass, and one batched drain in `BATCH`-sized
+    // submissions at `threads` workers.
+    let serve_all = |config: &ServeConfig, queries: &[Query]| {
+        let mut server = Server::new(config);
+        for q in queries {
+            let _ = server.serve(q);
+        }
+    };
+    let drain = |config: &ServeConfig, queries: &[Query], threads: usize| {
+        let mut server = Server::new(&config.threads(threads));
         let mut answers = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(servestudy::BATCH) {
             for &q in chunk {
@@ -537,24 +487,21 @@ fn time_serve(parallel_threads: usize) -> Timing {
         }
         answers
     };
+    let config = servestudy::config();
+    let queries = servestudy::mixed_stream().queries(servestudy::MIXED_QUERIES);
     assert_eq!(
-        drain_all(1),
-        drain_all(parallel_threads),
+        drain(&config, &queries, 1),
+        drain(&config, &queries, parallel_threads),
         "batched serve drains must be bit-identical across worker counts"
     );
 
     // Solver mix of one serial closed-loop pass (every solve lands on
     // this thread, so the thread-local counters capture it completely).
-    let mix = measure_mix(queries.len(), || {
-        let mut server = Server::new(&servestudy::config());
-        for q in &queries {
-            let _ = server.serve(q);
-        }
-    });
+    let mix = measure_mix(queries.len(), || serve_all(&config, &queries));
 
     // Closed loop: per-query service times and throughput, plus the
     // serve-stats delta for the hit-rate extras.
-    let mut server = Server::new(&servestudy::config());
+    let mut server = Server::new(&config);
     let mut latencies_us = Vec::with_capacity(queries.len());
     let t0 = Instant::now();
     let ((), serve_delta) = bcc_serve::stats::scoped(|| {
@@ -569,7 +516,7 @@ fn time_serve(parallel_threads: usize) -> Timing {
 
     // Repeated-state stream: the all-hit regime the cache gate watches.
     let repeated = servestudy::repeated_stream();
-    let mut rep_server = Server::new(&servestudy::config());
+    let mut rep_server = Server::new(&config);
     let t0 = Instant::now();
     let ((), rep_delta) = bcc_serve::stats::scoped(|| {
         for k in 0..servestudy::REPEATED_QUERIES {
@@ -584,35 +531,19 @@ fn time_serve(parallel_threads: usize) -> Timing {
     // (the whole point of seed-driven injection), then one counted
     // closed-loop pass for the degradation extras the gate asserts on.
     let chaos_queries = servestudy::chaos_stream().queries(servestudy::MIXED_QUERIES);
-    let chaos_config = servestudy::config().faults(servestudy::chaos_plan());
-    let drain_chaos = |threads: usize| {
-        let mut server = Server::new(&chaos_config.threads(threads));
-        let mut answers = Vec::with_capacity(chaos_queries.len());
-        for chunk in chaos_queries.chunks(servestudy::BATCH) {
-            for &q in chunk {
-                server.submit(q).expect("queue sized to the batch");
-            }
-            answers.extend(server.drain());
-        }
-        answers
-    };
+    let chaos_config = config.faults(servestudy::chaos_plan());
     assert_eq!(
-        drain_chaos(1),
-        drain_chaos(parallel_threads),
+        drain(&chaos_config, &chaos_queries, 1),
+        drain(&chaos_config, &chaos_queries, parallel_threads),
         "injected-fault drains must be bit-identical across worker counts"
     );
-    let mut chaos_server = Server::new(&chaos_config);
-    let ((), chaos_delta) = bcc_serve::stats::scoped(|| {
-        for q in &chaos_queries {
-            let _ = chaos_server.serve(q);
-        }
-    });
+    let ((), chaos_delta) = bcc_serve::stats::scoped(|| serve_all(&chaos_config, &chaos_queries));
 
     let serial_ms = best_ms(REPS, || {
-        drain_all(1);
+        drain(&config, &queries, 1);
     });
     let parallel_ms = best_ms(REPS, || {
-        drain_all(parallel_threads);
+        drain(&config, &queries, parallel_threads);
     });
     Timing {
         name: "serve_loadgen",
@@ -635,7 +566,7 @@ fn time_serve(parallel_threads: usize) -> Timing {
                 "chaos_validated_rejects",
                 chaos_delta.validated_rejects as f64,
             ),
-            ("chaos_panics", GENUINE_PANICS.load(Relaxed) as f64),
+            ("chaos_panics", servestudy::genuine_panics() as f64),
         ],
     }
 }
@@ -682,29 +613,232 @@ fn render_json(available: usize, parallel: usize, timings: &[Timing]) -> String 
     out
 }
 
-/// Applies the `--check` gate to one field of the Fig. 3 scenario.
-/// Returns an error message on regression.
-fn check_field(baseline: &str, timing: &Timing, field: &str, measured: f64) -> Result<(), String> {
-    let Some(base) = benchjson::scenario_field(baseline, timing.name, field) else {
-        return Err(format!(
-            "baseline has no \"{field}\" for scenario \"{}\"",
-            timing.name
-        ));
-    };
-    let tolerance = tolerance();
-    let allowed = base * tolerance;
-    if measured > allowed {
-        return Err(format!(
-            "{} {field} regressed: {measured:.1} ms > {allowed:.1} ms \
-             (baseline {base:.1} ms × {tolerance})",
-            timing.name
-        ));
+/// One gate verdict: `Err(failure)` if the rule `fails`, else
+/// `Ok(reading)`.
+fn verdict(fails: bool, reading: String, failure: String) -> Result<String, String> {
+    if fails {
+        Err(failure)
+    } else {
+        Ok(reading)
     }
-    println!(
-        "check ok: {} {field} {measured:.1} ms within {allowed:.1} ms (baseline {base:.1} ms)",
-        timing.name
-    );
-    Ok(())
+}
+
+/// A fast-path canary: `what` counted `count` events, and zero means the
+/// path went quiet (`why`).
+fn fired(what: &str, count: f64, why: &str) -> Result<String, String> {
+    verdict(
+        count == 0.0,
+        format!("{what} = {count:.0}"),
+        format!("{what} == 0: {why}"),
+    )
+}
+
+/// A bound on one reading: the failure is the reading followed by `why`.
+fn bounded(fails: bool, reading: String, why: &str) -> Result<String, String> {
+    let failure = format!("{reading}: {why}");
+    verdict(fails, reading, failure)
+}
+
+/// The `--check` gate table: one verdict per rule, in report order; `Ok`
+/// carries the reading printed as `check ok`, `Err` the regression.
+///
+/// The Fig. 3 sweep's wall time (serial and parallel each) may exceed
+/// `baseline` (the committed `BENCH_evaluator.json`) by at most the
+/// [`tolerance`] factor, and the serve `qps` may drop below it by at
+/// most that factor. The rest are fixed bounds. A fast path going quiet
+/// is a silent perf loss even at unchanged wall time: the closed-form
+/// kernel must fire and run *batched*, and the warm start must fire
+/// where the simplex is in play (floored serve queries). The deep-outage
+/// sampler must meet its 10% relative-error budget in fewer trials than
+/// plain MC needs for a 1e-3 tail, beat plain MC's per-trial variance
+/// and agree with the closed-form tail; the K-pair and city hot loops
+/// stay allocation-free (0.05 per point); greedy best-edge attachment,
+/// a per-pair maximum, cannot lose to random unless the candidate
+/// reduction breaks; and the fault-free serve stream never degrades
+/// while the injected one degrades, rejects its malformed queries and
+/// contains every injected panic.
+fn gates(timings: &[Timing], baseline: &str) -> Vec<Result<String, String>> {
+    use bcc_bench::deepstudy::{PLAIN_MC_FLOOR, REL_ERR_TARGET};
+    let tolerance = tolerance();
+    let scenario = |name| {
+        timings
+            .iter()
+            .find(|t| t.name == name)
+            .unwrap_or_else(|| panic!("timings include {name}"))
+    };
+    let (fig3, deep) = (scenario("fig3_sweep"), scenario("deep_outage"));
+    let (multipair, city) = (scenario("multipair_k3"), scenario("city_scale"));
+    let serve = scenario("serve_loadgen");
+    let wall = |field: &str, measured: f64| {
+        let Some(base) = benchjson::scenario_field(baseline, fig3.name, field) else {
+            return Err(format!(
+                "baseline has no \"{field}\" for scenario \"{}\"",
+                fig3.name
+            ));
+        };
+        let allowed = base * tolerance;
+        verdict(
+            measured > allowed,
+            format!(
+                "{} {field} {measured:.1} ms within {allowed:.1} ms (baseline {base:.1} ms)",
+                fig3.name
+            ),
+            format!(
+                "{} {field} regressed: {measured:.1} ms > {allowed:.1} ms \
+                 (baseline {base:.1} ms × {tolerance})",
+                fig3.name
+            ),
+        )
+    };
+    let qps = serve.extra("qps");
+    let qps_gate = match benchjson::scenario_field(baseline, serve.name, "qps") {
+        Some(base) => {
+            let floor = base / tolerance;
+            verdict(
+                qps < floor,
+                format!("serve_loadgen qps {qps:.0} above {floor:.0} (baseline {base:.0})"),
+                format!(
+                    "serve_loadgen qps regressed: {qps:.0} q/s < {floor:.0} q/s \
+                     (baseline {base:.0} q/s ÷ {tolerance})"
+                ),
+            )
+        }
+        None => Err("baseline has no \"qps\" for serve_loadgen".to_string()),
+    };
+    let warm: u64 = timings.iter().map(|t| t.mix.warm_hits).sum();
+    let (rel_err, abs_z) = (deep.extra("rel_err"), deep.extra("abs_z"));
+    let (var_ratio, trials) = (deep.extra("var_ratio"), deep.trials);
+    let (multipair_allocs, city_allocs) =
+        (multipair.mix.allocs_per_point, city.mix.allocs_per_point);
+    let (assignment, random) = (city.extra("assignment_rate"), city.extra("random_rate"));
+    let (refined_ts, greedy_ts) = (city.extra("refined_ts_rate"), city.extra("greedy_ts_rate"));
+    let (degraded, panics) = (serve.extra("degraded"), serve.extra("chaos_panics"));
+    vec![
+        wall("serial_ms", fig3.serial_ms),
+        wall("parallel_ms", fig3.parallel_ms),
+        fired(
+            "fig3_sweep kernel_hits",
+            fig3.mix.kernel_hits as f64,
+            "the closed-form kernel never fired (silently disabled?)",
+        ),
+        fired(
+            "fig3_sweep batched_points",
+            fig3.mix.batched_points as f64,
+            "the sweep fell back to scalar per-point solves \
+             (batched lane kernels silently disabled?)",
+        )
+        .map(|ok| format!("{ok} (lanes_filled = {})", fig3.mix.lanes_filled)),
+        verdict(
+            warm == 0,
+            format!("warm_hits across scenarios = {warm}"),
+            "warm_hits == 0 across every scenario: the warm-start fast path \
+             never fired (silently disabled?)"
+                .to_string(),
+        ),
+        verdict(
+            rel_err > REL_ERR_TARGET,
+            format!("deep_outage rel_err = {rel_err:.3}"),
+            format!(
+                "deep_outage rel_err = {rel_err:.3}: the tilted estimator missed the \
+                 {:.0}% relative-error budget even at the top of the trial ladder",
+                REL_ERR_TARGET * 100.0
+            ),
+        ),
+        verdict(
+            trials >= PLAIN_MC_FLOOR,
+            format!("deep_outage is_trials = {trials} (plain-MC 1e-3 floor {PLAIN_MC_FLOOR})"),
+            format!(
+                "deep_outage is_trials = {trials}: the 1e-6 tail took at least as many \
+                 trials as plain MC needs for 1e-3 ({PLAIN_MC_FLOOR})"
+            ),
+        ),
+        verdict(
+            var_ratio <= 1.0,
+            format!("deep_outage var_ratio = {var_ratio:.1}"),
+            format!(
+                "deep_outage var_ratio = {var_ratio:.2}: importance sampling lost its \
+                 per-trial variance advantage over plain MC"
+            ),
+        ),
+        bounded(
+            abs_z > 5.0,
+            format!("deep_outage abs_z = {abs_z:.2}"),
+            "the estimate is more than 5 standard errors from the closed-form tail \
+             (biased sampler?)",
+        ),
+        bounded(
+            multipair_allocs > 0.05,
+            format!("multipair_k3 allocs_per_point = {multipair_allocs:.3}"),
+            "the K-pair hot loop allocates per pair-point (budget 0.05)",
+        ),
+        fired(
+            "multipair_k3 kernel_hits",
+            multipair.mix.kernel_hits as f64,
+            "the closed-form kernel never fired on the K-pair sweep (silently disabled?)",
+        ),
+        verdict(
+            assignment < random,
+            format!("city_scale assignment_rate {assignment:.4} ≥ random_rate {random:.4}"),
+            format!(
+                "city_scale assignment_rate = {assignment:.4} < random_rate = \
+                 {random:.4}: greedy best-edge attachment lost to random \
+                 (candidate reduction broken?)"
+            ),
+        ),
+        verdict(
+            refined_ts < greedy_ts,
+            format!("city_scale refined_ts_rate {refined_ts:.4} ≥ greedy seed {greedy_ts:.4}"),
+            format!(
+                "city_scale refined_ts_rate = {refined_ts:.4} < greedy seed's \
+                 {greedy_ts:.4}: the refinement search regressed below its seed"
+            ),
+        ),
+        bounded(
+            city_allocs > 0.05,
+            format!("city_scale allocs_per_point = {city_allocs:.3}"),
+            "the streamed edge loop allocates per edge (budget 0.05)",
+        ),
+        fired(
+            "city_scale batched_points",
+            city.mix.batched_points as f64,
+            "the edge grid fell back to scalar per-point solves \
+             (lane kernels silently disabled?)",
+        )
+        .map(|ok| format!("{ok} (lanes_filled = {})", city.mix.lanes_filled)),
+        qps_gate,
+        fired(
+            "serve_loadgen repeated_cache_hits",
+            serve.extra("repeated_cache_hits"),
+            "a repeated-state stream never hit the decision cache \
+             (quantization or cache broken?)",
+        ),
+        fired(
+            "serve_loadgen kernel_hits",
+            serve.mix.kernel_hits as f64,
+            "serve misses never reached the closed-form kernel (silently disabled?)",
+        ),
+        bounded(
+            degraded > 0.0,
+            format!("serve_loadgen degraded = {degraded:.0} on the fault-free stream"),
+            "a healthy serve must never fall back to the conservative answer",
+        ),
+        fired(
+            "serve_loadgen chaos_degraded",
+            serve.extra("chaos_degraded"),
+            "the injected fault plan never exercised the degraded fallback \
+             (injection silently disabled?)",
+        ),
+        fired(
+            "serve_loadgen chaos_validated_rejects",
+            serve.extra("chaos_validated_rejects"),
+            "malformed queries were not refused up front",
+        ),
+        bounded(
+            panics > 0.0,
+            format!("serve_loadgen chaos_panics = {panics:.0}"),
+            "a genuine panic escaped the injected run (isolation broken)",
+        ),
+    ]
 }
 
 const USAGE: &str = "usage: bench-report [--out PATH] [--check BASELINE.json]";
@@ -740,7 +874,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
 }
 
 fn main() {
-    install_panic_audit();
+    servestudy::install_panic_audit();
     let (out_path, check_path) = match parse_args(std::env::args().skip(1)) {
         Ok(Cli::Run { out, check }) => (out, check),
         Ok(Cli::Help) => {
@@ -799,326 +933,17 @@ fn main() {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-        let fig3 = &timings[0];
-        let mut failures = Vec::new();
-        for (field, measured) in [
-            ("serial_ms", fig3.serial_ms),
-            ("parallel_ms", fig3.parallel_ms),
-        ] {
-            if let Err(msg) = check_field(&baseline, fig3, field, measured) {
-                failures.push(msg);
-            }
-        }
-        // A fast path going quiet is a silent perf loss even when wall
-        // time hasn't (yet) tripped the timing gate on a fast runner. The
-        // closed-form kernel carries all four protocols on the fig3
-        // sweep, and it must run *batched* — a floor-free inner sweep
-        // falling back to per-point scalar solves is a regression even at
-        // identical answers. The warm-start path must still fire on the
-        // workloads where the simplex is actually in play (floored serve
-        // queries).
-        if fig3.mix.kernel_hits == 0 {
-            failures.push(
-                "fig3_sweep kernel_hits == 0: the closed-form kernel never fired \
-                 (silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!(
-                "check ok: fig3_sweep kernel_hits = {}",
-                fig3.mix.kernel_hits
-            );
-        }
-        if fig3.mix.batched_points == 0 {
-            failures.push(
-                "fig3_sweep batched_points == 0: the sweep fell back to scalar \
-                 per-point solves (batched lane kernels silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!(
-                "check ok: fig3_sweep batched_points = {} (lanes_filled = {})",
-                fig3.mix.batched_points, fig3.mix.lanes_filled
-            );
-        }
-        let warm_total: u64 = timings.iter().map(|t| t.mix.warm_hits).sum();
-        if warm_total == 0 {
-            failures.push(
-                "warm_hits == 0 across every scenario: the warm-start fast path \
-                 never fired (silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!("check ok: warm_hits across scenarios = {warm_total}");
-        }
-        // The K-pair sweep hot loop must stay allocation-free per
-        // pair-point (warm-up and result assembly amortise to noise on
-        // this grid; 0.05 is far below one allocation per point).
-        let scenario = |name: &str| {
-            timings
-                .iter()
-                .find(|t| t.name == name)
-                .unwrap_or_else(|| panic!("timings include {name}"))
-        };
-        // Deep-outage quality gates: the importance sampler must resolve
-        // its ~1e-6 tail within the 10% relative-error budget, in fewer
-        // trials than plain MC needs for a 1e-3 tail, with a genuine
-        // per-trial variance advantage, and statistically consistent
-        // with the closed-form answer.
-        {
-            use bcc_bench::deepstudy;
-            let deep = scenario("deep_outage");
-            let extra = |key: &str| {
-                deep.extra
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| *v)
-                    .unwrap_or_else(|| panic!("deep_outage records {key}"))
-            };
-            let rel_err = extra("rel_err");
-            if rel_err > deepstudy::REL_ERR_TARGET {
-                failures.push(format!(
-                    "deep_outage rel_err = {rel_err:.3}: the tilted estimator missed the \
-                     {:.0}% relative-error budget even at the top of the trial ladder",
-                    deepstudy::REL_ERR_TARGET * 100.0
-                ));
-            } else {
-                println!("check ok: deep_outage rel_err = {rel_err:.3}");
-            }
-            if deep.trials >= deepstudy::PLAIN_MC_FLOOR {
-                failures.push(format!(
-                    "deep_outage is_trials = {}: the 1e-6 tail took at least as many \
-                     trials as plain MC needs for 1e-3 ({})",
-                    deep.trials,
-                    deepstudy::PLAIN_MC_FLOOR
-                ));
-            } else {
-                println!(
-                    "check ok: deep_outage is_trials = {} (plain-MC 1e-3 floor {})",
-                    deep.trials,
-                    deepstudy::PLAIN_MC_FLOOR
-                );
-            }
-            let var_ratio = extra("var_ratio");
-            if var_ratio <= 1.0 {
-                failures.push(format!(
-                    "deep_outage var_ratio = {var_ratio:.2}: importance sampling lost its \
-                     per-trial variance advantage over plain MC"
-                ));
-            } else {
-                println!("check ok: deep_outage var_ratio = {var_ratio:.1}");
-            }
-            let abs_z = extra("abs_z");
-            if abs_z > 5.0 {
-                failures.push(format!(
-                    "deep_outage abs_z = {abs_z:.2}: the estimate is more than 5 standard \
-                     errors from the closed-form tail (biased sampler?)"
-                ));
-            } else {
-                println!("check ok: deep_outage abs_z = {abs_z:.2}");
-            }
-        }
-        let multipair = scenario("multipair_k3");
-        if multipair.mix.allocs_per_point > 0.05 {
-            failures.push(format!(
-                "multipair_k3 allocs_per_point = {:.3}: the K-pair hot loop \
-                 allocates per pair-point (budget 0.05)",
-                multipair.mix.allocs_per_point
-            ));
-        } else {
-            println!(
-                "check ok: multipair_k3 allocs_per_point = {:.3}",
-                multipair.mix.allocs_per_point
-            );
-        }
-        if multipair.mix.kernel_hits == 0 {
-            failures.push(
-                "multipair_k3 kernel_hits == 0: the closed-form kernel never fired \
-                 on the K-pair sweep (silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!(
-                "check ok: multipair_k3 kernel_hits = {}",
-                multipair.mix.kernel_hits
-            );
-        }
-        // City-assignment gates: the greedy best-edge aggregate is a
-        // per-pair maximum, so it can only fall below the random
-        // baseline if the candidate reduction itself is broken; and the
-        // streamed edge loop must stay allocation-free per edge and on
-        // the batched kernel path.
-        {
-            let city = scenario("city_scale");
-            let city_extra = |key: &str| {
-                city.extra
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| *v)
-                    .unwrap_or_else(|| panic!("city timing records {key}"))
-            };
-            let assignment_rate = city_extra("assignment_rate");
-            let random_rate = city_extra("random_rate");
-            if assignment_rate < random_rate {
-                failures.push(format!(
-                    "city_scale assignment_rate = {assignment_rate:.4} < random_rate = \
-                     {random_rate:.4}: greedy best-edge attachment lost to random \
-                     (candidate reduction broken?)"
-                ));
-            } else {
-                println!(
-                    "check ok: city_scale assignment_rate {assignment_rate:.4} ≥ \
-                     random_rate {random_rate:.4}"
-                );
-            }
-            let refined_ts = city_extra("refined_ts_rate");
-            let greedy_ts = city_extra("greedy_ts_rate");
-            if refined_ts < greedy_ts {
-                failures.push(format!(
-                    "city_scale refined_ts_rate = {refined_ts:.4} < greedy seed's \
-                     {greedy_ts:.4}: the refinement search regressed below its seed"
-                ));
-            } else {
-                println!(
-                    "check ok: city_scale refined_ts_rate {refined_ts:.4} ≥ greedy \
-                     seed {greedy_ts:.4}"
-                );
-            }
-            if city.mix.allocs_per_point > 0.05 {
-                failures.push(format!(
-                    "city_scale allocs_per_point = {:.3}: the streamed edge loop \
-                     allocates per edge (budget 0.05)",
-                    city.mix.allocs_per_point
-                ));
-            } else {
-                println!(
-                    "check ok: city_scale allocs_per_point = {:.3}",
-                    city.mix.allocs_per_point
-                );
-            }
-            if city.mix.batched_points == 0 {
-                failures.push(
-                    "city_scale batched_points == 0: the edge grid fell back to \
-                     scalar per-point solves (lane kernels silently disabled?)"
-                        .to_string(),
-                );
-            } else {
-                println!(
-                    "check ok: city_scale batched_points = {} (lanes_filled = {})",
-                    city.mix.batched_points, city.mix.lanes_filled
-                );
-            }
-        }
-        // Serving-path gates: throughput is higher-is-better (a drop
-        // below baseline/tolerance is the regression), and the two cache
-        // fast-path canaries must fire — repeated-state streams must hit
-        // the cache, and serve misses must reach the closed-form kernel.
-        let serve = scenario("serve_loadgen");
-        let measured_qps = serve
-            .extra
-            .iter()
-            .find(|(k, _)| *k == "qps")
-            .map(|(_, v)| *v)
-            .expect("serve timing records qps");
-        match benchjson::scenario_field(&baseline, serve.name, "qps") {
-            Some(base_qps) => {
-                let floor = base_qps / tolerance();
-                if measured_qps < floor {
-                    failures.push(format!(
-                        "serve_loadgen qps regressed: {measured_qps:.0} q/s < {floor:.0} q/s \
-                         (baseline {base_qps:.0} q/s ÷ {})",
-                        tolerance()
-                    ));
-                } else {
-                    println!(
-                        "check ok: serve_loadgen qps {measured_qps:.0} above {floor:.0} \
-                         (baseline {base_qps:.0})"
-                    );
+        let mut passed = true;
+        for verdict in gates(&timings, &baseline) {
+            match verdict {
+                Ok(reading) => println!("check ok: {reading}"),
+                Err(msg) => {
+                    eprintln!("REGRESSION: {msg}");
+                    passed = false;
                 }
             }
-            None => failures.push("baseline has no \"qps\" for serve_loadgen".to_string()),
         }
-        let repeated_hits = serve
-            .extra
-            .iter()
-            .find(|(k, _)| *k == "repeated_cache_hits")
-            .map(|(_, v)| *v)
-            .expect("serve timing records repeated_cache_hits");
-        if repeated_hits == 0.0 {
-            failures.push(
-                "serve_loadgen repeated_cache_hits == 0: a repeated-state stream \
-                 never hit the decision cache (quantization or cache broken?)"
-                    .to_string(),
-            );
-        } else {
-            println!("check ok: serve_loadgen repeated_cache_hits = {repeated_hits:.0}");
-        }
-        if serve.mix.kernel_hits == 0 {
-            failures.push(
-                "serve_loadgen kernel_hits == 0: serve misses never reached the \
-                 closed-form kernel (silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!(
-                "check ok: serve_loadgen kernel_hits = {}",
-                serve.mix.kernel_hits
-            );
-        }
-        // Degradation gates, both directions: the fault-free stream must
-        // never fall back to the conservative answer, and the injected
-        // stream must degrade somewhere, reject its malformed queries,
-        // and contain every injected panic.
-        let serve_extra = |key: &str| {
-            serve
-                .extra
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("serve timing records {key}"))
-        };
-        let degraded = serve_extra("degraded");
-        if degraded > 0.0 {
-            failures.push(format!(
-                "serve_loadgen degraded = {degraded:.0} on the fault-free stream: \
-                 a healthy serve must never fall back to the conservative answer"
-            ));
-        } else {
-            println!("check ok: serve_loadgen degraded = 0 on the fault-free stream");
-        }
-        let chaos_degraded = serve_extra("chaos_degraded");
-        if chaos_degraded == 0.0 {
-            failures.push(
-                "serve_loadgen chaos_degraded == 0: the injected fault plan never \
-                 exercised the degraded fallback (injection silently disabled?)"
-                    .to_string(),
-            );
-        } else {
-            println!("check ok: serve_loadgen chaos_degraded = {chaos_degraded:.0}");
-        }
-        let chaos_rejects = serve_extra("chaos_validated_rejects");
-        if chaos_rejects == 0.0 {
-            failures.push(
-                "serve_loadgen chaos_validated_rejects == 0: malformed queries were \
-                 not refused up front"
-                    .to_string(),
-            );
-        } else {
-            println!("check ok: serve_loadgen chaos_validated_rejects = {chaos_rejects:.0}");
-        }
-        let chaos_panics = serve_extra("chaos_panics");
-        if chaos_panics > 0.0 {
-            failures.push(format!(
-                "serve_loadgen chaos_panics = {chaos_panics:.0}: a genuine panic \
-                 escaped the injected run (isolation broken)"
-            ));
-        } else {
-            println!("check ok: serve_loadgen chaos_panics = 0");
-        }
-        if !failures.is_empty() {
-            for msg in &failures {
-                eprintln!("REGRESSION: {msg}");
-            }
+        if !passed {
             std::process::exit(1);
         }
         println!("bench check passed against {}", baseline_path.display());
@@ -1127,8 +952,163 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, Cli};
+    use super::{gates, parse_args, tolerance, Cli, SolveMix, Timing};
+    use bcc_bench::benchjson::scenario_field;
+    use bcc_bench::deepstudy::{PLAIN_MC_FLOOR, REL_ERR_TARGET};
     use std::path::PathBuf;
+
+    const BASELINE: &str = include_str!("../../../../ci/bench_baseline.json");
+
+    /// The committed baseline read back as a report: every scenario with
+    /// the counters and gated extras it recorded.
+    fn baseline_report() -> Vec<Timing> {
+        let gated: [(&'static str, &[&'static str]); 7] = [
+            ("fig3_sweep", &[]),
+            ("crossover_search", &[]),
+            ("outage_10k", &[]),
+            ("deep_outage", &["rel_err", "var_ratio", "abs_z"]),
+            ("multipair_k3", &[]),
+            (
+                "city_scale",
+                &[
+                    "assignment_rate",
+                    "random_rate",
+                    "refined_ts_rate",
+                    "greedy_ts_rate",
+                ],
+            ),
+            (
+                "serve_loadgen",
+                &[
+                    "qps",
+                    "repeated_cache_hits",
+                    "degraded",
+                    "chaos_degraded",
+                    "chaos_validated_rejects",
+                    "chaos_panics",
+                ],
+            ),
+        ];
+        gated
+            .into_iter()
+            .map(|(name, extras)| {
+                let field = |f: &str| {
+                    scenario_field(BASELINE, name, f)
+                        .unwrap_or_else(|| panic!("baseline {name} records {f}"))
+                };
+                Timing {
+                    name,
+                    points: field("points") as usize,
+                    trials: field("trials") as usize,
+                    serial_ms: field("serial_ms"),
+                    parallel_ms: field("parallel_ms"),
+                    mix: SolveMix {
+                        pivots: field("pivots") as u64,
+                        warm_hits: field("warm_hits") as u64,
+                        kernel_hits: field("kernel_hits") as u64,
+                        batched_points: field("batched_points") as u64,
+                        lanes_filled: field("lanes_filled") as u64,
+                        allocs_per_point: field("allocs_per_point"),
+                    },
+                    extra: extras.iter().map(|&k| (k, field(k))).collect(),
+                }
+            })
+            .collect()
+    }
+
+    fn set(t: &mut Timing, key: &str, value: f64) {
+        t.extra
+            .iter_mut()
+            .find(|(k, _)| *k == key)
+            .expect("gated")
+            .1 = value;
+    }
+
+    fn failed_rules(report: &[Timing], baseline: &str) -> Vec<usize> {
+        let verdicts = gates(report, baseline);
+        assert_eq!(verdicts.len(), 22, "one verdict per rule");
+        (0..verdicts.len())
+            .filter(|&i| verdicts[i].is_err())
+            .collect()
+    }
+
+    #[test]
+    fn the_baseline_passes_every_gate() {
+        let verdicts = gates(&baseline_report(), BASELINE);
+        assert!(verdicts.iter().all(Result::is_ok), "{verdicts:#?}");
+        assert_eq!(
+            verdicts[2],
+            Ok("fig3_sweep kernel_hits = 240004".to_string())
+        );
+    }
+
+    #[test]
+    fn each_reading_one_step_past_its_bound_fails_its_rule_alone() {
+        // In gate order: the scenario whose reading moves, and the move.
+        type Step = (&'static str, fn(&mut Timing));
+        let steps: [Step; 22] = [
+            ("fig3_sweep", |t| t.serial_ms *= tolerance() * 1.001),
+            ("fig3_sweep", |t| t.parallel_ms *= tolerance() * 1.001),
+            ("fig3_sweep", |t| t.mix.kernel_hits = 0),
+            ("fig3_sweep", |t| t.mix.batched_points = 0),
+            ("serve_loadgen", |t| t.mix.warm_hits = 0),
+            ("deep_outage", |t| set(t, "rel_err", REL_ERR_TARGET + 0.001)),
+            ("deep_outage", |t| t.trials = PLAIN_MC_FLOOR),
+            ("deep_outage", |t| set(t, "var_ratio", 1.0)),
+            ("deep_outage", |t| set(t, "abs_z", 5.01)),
+            ("multipair_k3", |t| t.mix.allocs_per_point = 0.051),
+            ("multipair_k3", |t| t.mix.kernel_hits = 0),
+            ("city_scale", |t| {
+                set(t, "assignment_rate", t.extra("random_rate") - 0.001)
+            }),
+            ("city_scale", |t| {
+                set(t, "refined_ts_rate", t.extra("greedy_ts_rate") - 0.001)
+            }),
+            ("city_scale", |t| t.mix.allocs_per_point = 0.051),
+            ("city_scale", |t| t.mix.batched_points = 0),
+            ("serve_loadgen", |t| {
+                set(t, "qps", t.extra("qps") / tolerance() * 0.999)
+            }),
+            ("serve_loadgen", |t| set(t, "repeated_cache_hits", 0.0)),
+            ("serve_loadgen", |t| t.mix.kernel_hits = 0),
+            ("serve_loadgen", |t| set(t, "degraded", 1.0)),
+            ("serve_loadgen", |t| set(t, "chaos_degraded", 0.0)),
+            ("serve_loadgen", |t| set(t, "chaos_validated_rejects", 0.0)),
+            ("serve_loadgen", |t| set(t, "chaos_panics", 1.0)),
+        ];
+        for (rule, (name, step)) in steps.into_iter().enumerate() {
+            let mut report = baseline_report();
+            step(
+                report
+                    .iter_mut()
+                    .find(|t| t.name == name)
+                    .expect("scenario"),
+            );
+            assert_eq!(
+                failed_rules(&report, BASELINE),
+                [rule],
+                "rule {rule} on {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_baseline_without_a_gated_field_fails_that_rule() {
+        let report = baseline_report();
+        for (field, rule, msg) in [
+            (
+                "\"serial_ms\"",
+                0,
+                "baseline has no \"serial_ms\" for scenario \"fig3_sweep\"",
+            ),
+            ("\"qps\"", 15, "baseline has no \"qps\" for serve_loadgen"),
+        ] {
+            // The first occurrence is the gated scenario's field.
+            let baseline = BASELINE.replacen(field, "\"unrecorded\"", 1);
+            assert_eq!(failed_rules(&report, &baseline), [rule], "{field}");
+            assert_eq!(gates(&report, &baseline)[rule], Err(msg.to_string()));
+        }
+    }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         parse_args(args.iter().map(|a| (*a).to_string()))

@@ -30,40 +30,38 @@
 //!
 //! Defaults follow `bcc_bench::servestudy` (hot-set stream, Fig. 4
 //! operating point). Writes `results/SERVE_loadgen.json` (schema 2).
+//! `-h`/`--help` prints the usage and exits 0; an unknown flag, a
+//! missing or unparsable value, an unknown stream kind, a zero count or
+//! a quantization step below `QuantSpec::MIN_STEP_DB` prints it to
+//! stderr and exits 2.
 
 use bcc_bench::{results_dir, servestudy};
 use bcc_num::stats::Ecdf;
 use bcc_serve::{LoadSpec, QuantSpec, Server, StreamKind};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::str::FromStr;
 use std::time::Instant;
 
-/// Panic-hook invocations whose payload is *not* the injected chaos
-/// marker — a genuine panic anywhere in the run. The report gates on
-/// this staying zero.
-static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
+const USAGE: &str = "usage: serve-loadgen [--queries N] [--stream repeated|hotset|fresh] \
+                     [--pool N] [--batch N] [--step-db X] [--capacity N] [--seed N] \
+                     [--faults] [--out PATH]";
 
-/// Counts genuine panics and silences the injected ones (their unwinds
-/// are caught and degraded by the engine; the default hook would bury
-/// the output in backtraces).
-fn install_panic_audit() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected worker panic"));
-        if !injected {
-            GENUINE_PANICS.fetch_add(1, Relaxed);
-            previous(info);
-        }
-    }));
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Cli {
+    /// Print the usage and exit.
+    Help,
+    /// Run the load study.
+    Run(Args),
 }
 
+#[derive(Debug, PartialEq)]
 struct Args {
     queries: u64,
+    /// The `--stream` name, as printed and reported.
     stream: String,
-    pool: usize,
+    /// The stream shape `stream` names (the hot set sized by `--pool`).
+    kind: StreamKind,
     batch: usize,
     step_db: f64,
     capacity: usize,
@@ -72,11 +70,32 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} got {value:?}, which does not parse"))
+}
+
+/// The count after `flag`; the run needs at least one.
+fn count<T: FromStr + PartialOrd + From<u8>>(flag: &str, arg: Option<String>) -> Result<T, String> {
+    let n = value(flag, arg)?;
+    if n < T::from(1) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// Parses the arguments after the program name; `Err` carries the
+/// message to print above the usage.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut args = Args {
         queries: servestudy::MIXED_QUERIES,
         stream: "hotset".to_string(),
-        pool: servestudy::HOTSET_POOL,
+        kind: StreamKind::HotSet {
+            pool: servestudy::HOTSET_POOL,
+        },
         batch: servestudy::BATCH,
         step_db: servestudy::STEP_DB,
         capacity: servestudy::CACHE_CAPACITY,
@@ -84,43 +103,42 @@ fn parse_args() -> Args {
         faults: false,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut pool = servestudy::HOTSET_POOL;
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match arg.as_str() {
-            "--queries" => args.queries = take("--queries").parse().expect("integer"),
-            "--stream" => args.stream = take("--stream"),
-            "--pool" => args.pool = take("--pool").parse().expect("integer"),
-            "--batch" => args.batch = take("--batch").parse().expect("integer"),
-            "--step-db" => args.step_db = take("--step-db").parse().expect("number"),
-            "--capacity" => args.capacity = take("--capacity").parse().expect("integer"),
-            "--seed" => args.seed = take("--seed").parse().expect("integer"),
-            "--faults" => args.faults = true,
-            "--out" => args.out = Some(PathBuf::from(take("--out"))),
-            other => {
-                eprintln!(
-                    "usage: serve-loadgen [--queries N] [--stream repeated|hotset|fresh] \
-                     [--pool N] [--batch N] [--step-db X] [--capacity N] [--seed N] \
-                     [--faults] [--out PATH]"
-                );
-                panic!("unknown argument {other:?}");
+            "-h" | "--help" => return Ok(Cli::Help),
+            "--queries" => args.queries = count(&arg, it.next())?,
+            "--stream" => args.stream = value(&arg, it.next())?,
+            "--pool" => pool = count(&arg, it.next())?,
+            "--batch" => args.batch = count(&arg, it.next())?,
+            "--step-db" => {
+                args.step_db = value(&arg, it.next())?;
+                let min = QuantSpec::MIN_STEP_DB;
+                if !(args.step_db.is_finite() && args.step_db >= min) {
+                    return Err(format!("--step-db must be finite and at least {min} dB"));
+                }
             }
+            "--capacity" => args.capacity = value(&arg, it.next())?,
+            "--seed" => args.seed = value(&arg, it.next())?,
+            "--faults" => args.faults = true,
+            "--out" => args.out = Some(value(&arg, it.next())?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    args.kind = match args.stream.as_str() {
+        "repeated" => StreamKind::Repeated,
+        "hotset" => StreamKind::HotSet { pool },
+        "fresh" => StreamKind::Fresh,
+        other => return Err(format!("unknown stream kind {other:?}")),
+    };
+    Ok(Cli::Run(args))
 }
 
 fn spec_for(args: &Args) -> LoadSpec {
-    let kind = match args.stream.as_str() {
-        "repeated" => StreamKind::Repeated,
-        "hotset" => StreamKind::HotSet { pool: args.pool },
-        "fresh" => StreamKind::Fresh,
-        other => panic!("unknown stream kind {other:?} (repeated|hotset|fresh)"),
-    };
     let mut spec = servestudy::mixed_stream();
-    spec.kind = kind;
+    spec.kind = args.kind;
     spec.seed = args.seed;
-    if kind == StreamKind::Repeated {
+    if args.kind == StreamKind::Repeated {
         // The all-hit regime measures pure cache latency; a periodic
         // floor would split it across two keys.
         spec.floor_every = None;
@@ -134,8 +152,18 @@ fn spec_for(args: &Args) -> LoadSpec {
 }
 
 fn main() {
-    install_panic_audit();
-    let args = parse_args();
+    servestudy::install_panic_audit();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Cli::Run(args)) => args,
+        Ok(Cli::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("serve-loadgen: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let spec = spec_for(&args);
     let mut config = servestudy::config()
         .quant(QuantSpec::db_grid(args.step_db))
@@ -217,7 +245,7 @@ fn main() {
     // The degradation contract, both directions: a healthy run never
     // degrades; an injected run degrades somewhere, rejects the
     // malformed queries, and contains every panic.
-    let panics = GENUINE_PANICS.load(Relaxed);
+    let panics = servestudy::genuine_panics();
     assert_eq!(panics, 0, "a genuine panic escaped the run");
     if args.faults {
         assert!(
@@ -269,4 +297,75 @@ fn main() {
     );
     std::fs::write(&out, json).expect("write SERVE_loadgen.json");
     println!("report written to {}", out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Cli};
+    use bcc_bench::servestudy;
+    use bcc_serve::StreamKind;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
+
+    fn run(args: &[&str]) -> super::Args {
+        match parse(args) {
+            Ok(Cli::Run(args)) => args,
+            other => panic!("{args:?} should run, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn help_flags_win_wherever_they_appear() {
+        assert_eq!(parse(&["--help"]), Ok(Cli::Help));
+        assert_eq!(parse(&["-h"]), Ok(Cli::Help));
+        assert_eq!(parse(&["--queries", "10", "--help"]), Ok(Cli::Help));
+    }
+
+    #[test]
+    fn defaults_follow_the_study_and_values_parse() {
+        let args = run(&[]);
+        assert_eq!(args.queries, servestudy::MIXED_QUERIES);
+        assert_eq!(
+            args.kind,
+            StreamKind::HotSet {
+                pool: servestudy::HOTSET_POOL
+            }
+        );
+        assert!(!args.faults);
+        // The pool sizes the hot set wherever it appears.
+        let args = run(&[
+            "--pool", "8", "--stream", "hotset", "--batch", "3", "--faults",
+        ]);
+        assert_eq!(args.kind, StreamKind::HotSet { pool: 8 });
+        assert_eq!((args.batch, args.faults), (3, true));
+        let args = run(&["--stream", "fresh", "--step-db", "0.5", "--seed", "7"]);
+        assert_eq!(args.kind, StreamKind::Fresh);
+        assert_eq!(
+            (args.stream.as_str(), args.step_db, args.seed),
+            ("fresh", 0.5, 7)
+        );
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for (args, msg) in [
+            (&["--verbose"][..], "unknown argument \"--verbose\""),
+            (&["--queries"], "--queries needs a value"),
+            (
+                &["--queries", "abc"],
+                "--queries got \"abc\", which does not parse",
+            ),
+            (&["--batch", "0"], "--batch must be at least 1"),
+            (&["--queries", "0"], "--queries must be at least 1"),
+            (&["--stream", "bogus"], "unknown stream kind \"bogus\""),
+            (
+                &["--step-db", "0"],
+                "--step-db must be finite and at least 0.000000000001 dB",
+            ),
+        ] {
+            assert_eq!(parse(args), Err(msg.to_string()), "{args:?}");
+        }
+    }
 }

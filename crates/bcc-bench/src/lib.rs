@@ -252,6 +252,7 @@ pub mod citystudy {
 pub mod servestudy {
     use bcc_num::faults::{FaultPlan, FaultSite};
     use bcc_serve::{LoadSpec, QuantSpec, ServeConfig, StreamKind};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Master seed of the study's query streams.
     pub const SEED: u64 = 0x5E4E_0001;
@@ -339,6 +340,34 @@ pub mod servestudy {
     /// malformed query every [`INVALID_EVERY`] slots.
     pub fn chaos_stream() -> LoadSpec {
         mixed_stream().invalid_every(INVALID_EVERY)
+    }
+
+    /// Panic-hook invocations whose payload is *not* the injected chaos
+    /// marker — a genuine panic anywhere in the run.
+    static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
+
+    /// Installs a panic hook that counts genuine panics (see
+    /// [`genuine_panics`]) and silences the injected ones: the serve
+    /// engine catches and degrades their unwinds, and the default hook
+    /// would bury a chaos run's output in backtraces.
+    pub fn install_panic_audit() {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|m| m.contains("injected worker panic"));
+            if !injected {
+                GENUINE_PANICS.fetch_add(1, Relaxed);
+                previous(info);
+            }
+        }));
+    }
+
+    /// Genuine panics counted since [`install_panic_audit`]; a chaos run
+    /// gates on this staying zero.
+    pub fn genuine_panics() -> u64 {
+        GENUINE_PANICS.load(Relaxed)
     }
 }
 

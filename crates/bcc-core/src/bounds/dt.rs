@@ -11,6 +11,7 @@
 //! Inner and outer bounds coincide — this is the exact capacity region of
 //! the strategy.
 
+use crate::bounds::LinkCaps;
 use crate::constraint::{ConstraintSet, RateConstraint};
 use bcc_channel::{ChannelState, PowerSplit};
 
@@ -21,34 +22,15 @@ use bcc_channel::{ChannelState, PowerSplit};
 /// Panics if `power < 0`.
 pub fn capacity_constraints(power: f64, state: &ChannelState) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    capacity_constraints_split(&PowerSplit::symmetric(power), state)
-}
-
-/// [`capacity_constraints`] with per-node powers: each direction of the
-/// direct link is evaluated at the *transmitting* terminal's power (the
-/// relay's allocation is wasted on DT, which is exactly what a power-
-/// allocation search should discover).
-pub fn capacity_constraints_split(powers: &PowerSplit, state: &ChannelState) -> ConstraintSet {
     let mut set = ConstraintSet::new(2, "");
-    capacity_constraints_split_into(powers, state, &mut set);
+    let caps = LinkCaps::compute(&PowerSplit::symmetric(power), state);
+    capacity_constraints_from_caps_into(&caps, &mut set);
     set
 }
 
-/// [`capacity_constraints_split`] rebuilding `set` in place (arena reuse —
-/// no heap allocation after warm-up).
-pub fn capacity_constraints_split_into(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    set: &mut ConstraintSet,
-) {
-    capacity_constraints_from_caps_into(&crate::bounds::LinkCaps::compute(powers, state), set)
-}
-
-/// [`capacity_constraints_split_into`] from precomputed link capacities.
-pub fn capacity_constraints_from_caps_into(
-    caps: &crate::bounds::LinkCaps,
-    set: &mut ConstraintSet,
-) {
+/// Rebuilds `set` in place from precomputed link capacities (arena
+/// reuse — no heap allocation after warm-up).
+pub fn capacity_constraints_from_caps_into(caps: &LinkCaps, set: &mut ConstraintSet) {
     let c_a = caps.c_a_ab;
     let c_b = caps.c_b_ab;
     set.reset(2, "DT capacity");
@@ -69,6 +51,8 @@ pub fn capacity_constraints_from_caps_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::constraint_sets_split;
+    use crate::protocol::{Bound, Protocol};
     use bcc_num::approx_eq;
 
     #[test]
@@ -100,11 +84,15 @@ mod tests {
         assert!(!set.all_satisfied(2.1, 2.0, &[0.5, 0.5], 1e-9));
     }
 
+    fn split(powers: PowerSplit, state: &ChannelState) -> ConstraintSet {
+        constraint_sets_split(Protocol::DirectTransmission, Bound::Inner, &powers, state).remove(0)
+    }
+
     #[test]
     fn split_reduces_to_symmetric_at_equal_powers() {
         let state = ChannelState::new(2.0, 1.0, 1.0);
         assert_eq!(
-            capacity_constraints_split(&PowerSplit::symmetric(5.0), &state),
+            split(PowerSplit::symmetric(5.0), &state),
             capacity_constraints(5.0, &state)
         );
     }
@@ -112,7 +100,7 @@ mod tests {
     #[test]
     fn split_uses_transmitter_power_per_direction() {
         let state = ChannelState::new(1.0, 1.0, 1.0);
-        let set = capacity_constraints_split(&PowerSplit::new(3.0, 15.0, 100.0), &state);
+        let set = split(PowerSplit::new(3.0, 15.0, 100.0), &state);
         // Phase 1 (a transmits) sees p_a, phase 2 (b transmits) sees p_b;
         // the relay power never appears.
         assert!(approx_eq(set.constraints()[0].phase_coefs[0], 2.0, 1e-12));

@@ -24,7 +24,8 @@
 //! is reported as a heuristic reference curve (DESIGN.md §2), not as the
 //! true converse.
 
-use crate::constraint::{ConstraintSet, RateConstraint};
+use crate::bounds::LinkCaps;
+use crate::constraint::{ConstraintBuf, ConstraintSet, RateConstraint};
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_info::awgn_capacity;
 use bcc_info::gaussian::{
@@ -38,29 +39,15 @@ use bcc_info::gaussian::{
 /// Panics if `power < 0`.
 pub fn inner_constraints(power: f64, state: &ChannelState) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    inner_constraints_split(&PowerSplit::symmetric(power), state)
-}
-
-/// [`inner_constraints`] with per-node powers: terminal phases (1–3) see
-/// `p_a`/`p_b`, the relay broadcast (phase 4) sees `p_r`.
-pub fn inner_constraints_split(powers: &PowerSplit, state: &ChannelState) -> ConstraintSet {
     let mut set = ConstraintSet::new(4, "");
-    inner_constraints_split_into(powers, state, &mut set);
+    let caps = LinkCaps::compute(&PowerSplit::symmetric(power), state);
+    inner_constraints_from_caps_into(&caps, &mut set);
     set
 }
 
-/// [`inner_constraints_split`] rebuilding `set` in place (arena reuse —
-/// no heap allocation after warm-up).
-pub fn inner_constraints_split_into(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    set: &mut ConstraintSet,
-) {
-    inner_constraints_from_caps_into(&crate::bounds::LinkCaps::compute(powers, state), set)
-}
-
-/// [`inner_constraints_split_into`] from precomputed link capacities.
-pub fn inner_constraints_from_caps_into(caps: &crate::bounds::LinkCaps, set: &mut ConstraintSet) {
+/// Rebuilds `set` in place from precomputed link capacities (arena
+/// reuse — no heap allocation after warm-up).
+pub fn inner_constraints_from_caps_into(caps: &LinkCaps, set: &mut ConstraintSet) {
     let c_a_ab = caps.c_a_ab;
     let c_b_ab = caps.c_b_ab;
     let c_a_ar = caps.c_a_ar;
@@ -110,27 +97,15 @@ pub fn inner_constraints_from_caps_into(caps: &crate::bounds::LinkCaps, set: &mu
 /// Panics if `power < 0` or `rho ∉ [0, 1]`.
 pub fn outer_constraints_with_rho(power: f64, state: &ChannelState, rho: f64) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    outer_constraints_with_rho_split(&PowerSplit::symmetric(power), state, rho)
-}
-
-/// [`outer_constraints_with_rho`] with per-node powers.
-///
-/// # Panics
-///
-/// Panics if `rho ∉ [0, 1]`.
-pub fn outer_constraints_with_rho_split(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    rho: f64,
-) -> ConstraintSet {
     let mut set = ConstraintSet::new(4, "");
-    outer_constraints_with_rho_split_into(powers, state, rho, &mut set);
+    outer_constraints_with_rho_split_into(&PowerSplit::symmetric(power), state, rho, &mut set);
     set
 }
 
-/// [`outer_constraints_with_rho_split`] rebuilding `set` in place (arena
-/// reuse — the formatted family name is written into the set's existing
-/// name buffer, so steady-state rebuilds perform no heap allocation).
+/// [`outer_constraints_with_rho`] with per-node powers, rebuilding `set`
+/// in place (arena reuse — the formatted family name is written into the
+/// set's existing name buffer, so steady-state rebuilds perform no heap
+/// allocation).
 ///
 /// # Panics
 ///
@@ -198,38 +173,21 @@ pub fn outer_constraints_with_rho_split_into(
 ///
 /// # Panics
 ///
-/// Panics if `grid < 2`.
+/// Panics if `power < 0` or `grid < 2`.
 pub fn outer_constraint_family(
     power: f64,
     state: &ChannelState,
     grid: usize,
 ) -> Vec<ConstraintSet> {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    outer_constraint_family_split(&PowerSplit::symmetric(power), state, grid)
+    let mut buf = ConstraintBuf::new();
+    outer_constraint_family_split_into(&PowerSplit::symmetric(power), state, grid, &mut buf);
+    buf.into_sets()
 }
 
-/// [`outer_constraint_family`] with per-node powers.
-///
-/// # Panics
-///
-/// Panics if `grid < 2`.
-pub fn outer_constraint_family_split(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    grid: usize,
-) -> Vec<ConstraintSet> {
-    assert!(grid >= 2, "need at least the two endpoint correlations");
-    (0..grid)
-        .map(|i| {
-            let rho = i as f64 / (grid - 1) as f64;
-            outer_constraints_with_rho_split(powers, state, rho)
-        })
-        .collect()
-}
-
-/// [`outer_constraint_family_split`] rebuilding the family inside a
-/// [`ConstraintBuf`](crate::constraint::ConstraintBuf) arena (the caller
-/// must have called [`ConstraintBuf::begin`](crate::constraint::ConstraintBuf::begin)).
+/// [`outer_constraint_family`] with per-node powers, rebuilding the
+/// family inside a [`ConstraintBuf`] arena (the caller must have called
+/// [`ConstraintBuf::begin`] on a reused arena).
 ///
 /// # Panics
 ///
@@ -238,7 +196,7 @@ pub fn outer_constraint_family_split_into(
     powers: &PowerSplit,
     state: &ChannelState,
     grid: usize,
-    buf: &mut crate::constraint::ConstraintBuf,
+    buf: &mut ConstraintBuf,
 ) {
     assert!(grid >= 2, "need at least the two endpoint correlations");
     for i in 0..grid {
@@ -250,6 +208,8 @@ pub fn outer_constraint_family_split_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::constraint_sets_split;
+    use crate::protocol::{Bound, Protocol};
 
     fn fig4_state() -> ChannelState {
         ChannelState::new(0.19952623149688797, 1.0, 3.1622776601683795)
@@ -329,12 +289,14 @@ mod tests {
         let s = fig4_state();
         let sym = PowerSplit::symmetric(10.0);
         assert_eq!(
-            inner_constraints_split(&sym, &s),
-            inner_constraints(10.0, &s)
+            constraint_sets_split(Protocol::Hbc, Bound::Inner, &sym, &s),
+            [inner_constraints(10.0, &s)]
         );
+        // The dispatcher's ρ-grid is odd-sized, so ρ = 0.5 is its middle.
+        let family = constraint_sets_split(Protocol::Hbc, Bound::Outer, &sym, &s);
         assert_eq!(
-            outer_constraints_with_rho_split(&sym, &s, 0.4),
-            outer_constraints_with_rho(10.0, &s, 0.4)
+            family[family.len() / 2],
+            outer_constraints_with_rho(10.0, &s, 0.5)
         );
     }
 
@@ -343,8 +305,8 @@ mod tests {
         // Δ = (0, 0, δ, 1−δ) must reproduce the split MABC region too.
         let s = fig4_state();
         let powers = PowerSplit::new(3.0, 11.0, 19.0);
-        let hbc = inner_constraints_split(&powers, &s);
-        let mabc = crate::bounds::mabc::capacity_constraints_split(&powers, &s);
+        let split = |p| constraint_sets_split(p, Bound::Inner, &powers, &s).remove(0);
+        let (hbc, mabc) = (split(Protocol::Hbc), split(Protocol::Mabc));
         let delta = 0.55;
         let d_hbc = [0.0, 0.0, delta, 1.0 - delta];
         let d_mabc = [delta, 1.0 - delta];

@@ -22,6 +22,7 @@
 //! dropping the sum-rate row still upper-bounds any such scheme —
 //! [`relaxed_outer_constraints`] exposes that variant.
 
+use crate::bounds::LinkCaps;
 use crate::constraint::{ConstraintSet, RateConstraint};
 use bcc_channel::{ChannelState, PowerSplit};
 
@@ -32,32 +33,15 @@ use bcc_channel::{ChannelState, PowerSplit};
 /// Panics if `power < 0`.
 pub fn capacity_constraints(power: f64, state: &ChannelState) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    capacity_constraints_split(&PowerSplit::symmetric(power), state)
-}
-
-/// [`capacity_constraints`] with per-node powers: the MAC-phase terms see
-/// the terminals' powers, the broadcast-phase terms the relay's.
-pub fn capacity_constraints_split(powers: &PowerSplit, state: &ChannelState) -> ConstraintSet {
     let mut set = ConstraintSet::new(2, "");
-    capacity_constraints_split_into(powers, state, &mut set);
+    let caps = LinkCaps::compute(&PowerSplit::symmetric(power), state);
+    capacity_constraints_from_caps_into(&caps, &mut set);
     set
 }
 
-/// [`capacity_constraints_split`] rebuilding `set` in place (arena reuse —
-/// no heap allocation after warm-up).
-pub fn capacity_constraints_split_into(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    set: &mut ConstraintSet,
-) {
-    capacity_constraints_from_caps_into(&crate::bounds::LinkCaps::compute(powers, state), set)
-}
-
-/// [`capacity_constraints_split_into`] from precomputed link capacities.
-pub fn capacity_constraints_from_caps_into(
-    caps: &crate::bounds::LinkCaps,
-    set: &mut ConstraintSet,
-) {
+/// Rebuilds `set` in place from precomputed link capacities (arena
+/// reuse — no heap allocation after warm-up).
+pub fn capacity_constraints_from_caps_into(caps: &LinkCaps, set: &mut ConstraintSet) {
     let c_ar = caps.c_a_ar;
     let c_br = caps.c_b_br;
     let c_bc_b = caps.c_r_br;
@@ -114,6 +98,8 @@ pub fn relaxed_outer_constraints(power: f64, state: &ChannelState) -> Constraint
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::constraint_sets_split;
+    use crate::protocol::{Bound, Protocol};
     use bcc_info::awgn_capacity;
     use bcc_num::approx_eq;
 
@@ -191,11 +177,15 @@ mod tests {
             .all(|c| !(c.ra == 1.0 && c.rb == 1.0)));
     }
 
+    fn split(powers: PowerSplit, state: &ChannelState) -> ConstraintSet {
+        constraint_sets_split(Protocol::Mabc, Bound::Inner, &powers, state).remove(0)
+    }
+
     #[test]
     fn split_reduces_to_symmetric_at_equal_powers() {
         let s = fig4_state();
         assert_eq!(
-            capacity_constraints_split(&PowerSplit::symmetric(7.0), &s),
+            split(PowerSplit::symmetric(7.0), &s),
             capacity_constraints(7.0, &s)
         );
     }
@@ -204,7 +194,7 @@ mod tests {
     fn silent_relay_kills_broadcast_rows_only() {
         // p_r = 0: the MAC-phase rows survive, the broadcast rows collapse.
         let s = fig4_state();
-        let set = capacity_constraints_split(&PowerSplit::new(10.0, 10.0, 0.0), &s);
+        let set = split(PowerSplit::new(10.0, 10.0, 0.0), &s);
         assert!(set.constraints()[0].phase_coefs[0] > 0.0, "MAC row alive");
         assert_eq!(set.constraints()[1].phase_coefs[1], 0.0, "b broadcast dead");
         assert_eq!(set.constraints()[3].phase_coefs[1], 0.0, "a broadcast dead");

@@ -44,11 +44,11 @@ use bcc_info::gaussian::mac_sum_capacity;
 ///
 /// A full-protocol grid point used to evaluate `log2(1 + SNR)` 22 times
 /// across the four builders; these seven values cover all of them
-/// (outer bounds add cut/correlated terms and stay on the direct
-/// builders). [`SolveCtx`](crate::kernel::SolveCtx) memoises one
-/// `LinkCaps` per `(powers, state)`, so the per-point cost across
-/// protocols is paid once. Each field uses exactly the expression the
-/// direct builders use, so cached and uncached builds are bit-identical.
+/// (outer bounds add cut/correlated terms and stay on their own
+/// builders). Every inner builder reads its capacities from here, and
+/// [`SolveCtx`](crate::kernel::SolveCtx) memoises one `LinkCaps` per
+/// `(powers, state)`, so the per-point cost across protocols is paid
+/// once and memoised and fresh builds are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkCaps {
     /// `C(p_a·G_ab)` — a's direct link.
@@ -153,23 +153,16 @@ pub fn constraint_sets_split_into<'a>(
 ) -> &'a [ConstraintSet] {
     buf.begin();
     match (protocol, bound) {
-        (Protocol::DirectTransmission, _) => {
-            dt::capacity_constraints_split_into(powers, state, buf.next_set());
-        }
-        (Protocol::Mabc, _) => {
-            mabc::capacity_constraints_split_into(powers, state, buf.next_set());
-        }
-        (Protocol::Tdbc, Bound::Inner) => {
-            tdbc::inner_constraints_split_into(powers, state, buf.next_set());
-        }
         (Protocol::Tdbc, Bound::Outer) => {
             tdbc::outer_constraints_split_into(powers, state, buf.next_set());
         }
-        (Protocol::Hbc, Bound::Inner) => {
-            hbc::inner_constraints_split_into(powers, state, buf.next_set());
-        }
         (Protocol::Hbc, Bound::Outer) => {
             hbc::outer_constraint_family_split_into(powers, state, HBC_OUTER_RHO_GRID, buf);
+        }
+        // DT's and MABC's inner and outer bounds coincide.
+        (_, Bound::Inner) | (Protocol::DirectTransmission | Protocol::Mabc, Bound::Outer) => {
+            let caps = LinkCaps::compute(powers, state);
+            inner_constraints_from_caps_into(protocol, &caps, buf.next_set());
         }
     }
     buf.sets()

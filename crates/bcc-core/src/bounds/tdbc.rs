@@ -19,6 +19,7 @@
 //! both `Y_r` and `Y_b`), and a sum-rate row
 //! `R_a + R_b ≤ Δ₁·C(P·G_ar) + Δ₂·C(P·G_br)` is added (relay decodes both).
 
+use crate::bounds::LinkCaps;
 use crate::constraint::{ConstraintSet, RateConstraint};
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_info::awgn_capacity;
@@ -31,29 +32,15 @@ use bcc_info::gaussian::two_receiver_capacity;
 /// Panics if `power < 0`.
 pub fn inner_constraints(power: f64, state: &ChannelState) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    inner_constraints_split(&PowerSplit::symmetric(power), state)
-}
-
-/// [`inner_constraints`] with per-node powers: phase-1 terms see `p_a`,
-/// phase-2 terms `p_b`, and the relay's bin broadcast `p_r`.
-pub fn inner_constraints_split(powers: &PowerSplit, state: &ChannelState) -> ConstraintSet {
     let mut set = ConstraintSet::new(3, "");
-    inner_constraints_split_into(powers, state, &mut set);
+    let caps = LinkCaps::compute(&PowerSplit::symmetric(power), state);
+    inner_constraints_from_caps_into(&caps, &mut set);
     set
 }
 
-/// [`inner_constraints_split`] rebuilding `set` in place (arena reuse —
-/// no heap allocation after warm-up).
-pub fn inner_constraints_split_into(
-    powers: &PowerSplit,
-    state: &ChannelState,
-    set: &mut ConstraintSet,
-) {
-    inner_constraints_from_caps_into(&crate::bounds::LinkCaps::compute(powers, state), set)
-}
-
-/// [`inner_constraints_split_into`] from precomputed link capacities.
-pub fn inner_constraints_from_caps_into(caps: &crate::bounds::LinkCaps, set: &mut ConstraintSet) {
+/// Rebuilds `set` in place from precomputed link capacities (arena
+/// reuse — no heap allocation after warm-up).
+pub fn inner_constraints_from_caps_into(caps: &LinkCaps, set: &mut ConstraintSet) {
     let c_a_ab = caps.c_a_ab;
     let c_b_ab = caps.c_b_ab;
     let c_a_ar = caps.c_a_ar;
@@ -95,19 +82,14 @@ pub fn inner_constraints_from_caps_into(caps: &crate::bounds::LinkCaps, set: &mu
 /// Panics if `power < 0`.
 pub fn outer_constraints(power: f64, state: &ChannelState) -> ConstraintSet {
     assert!(power >= 0.0, "transmit power must be non-negative");
-    outer_constraints_split(&PowerSplit::symmetric(power), state)
-}
-
-/// [`outer_constraints`] with per-node powers (cut terms at the
-/// transmitting node's power, relay broadcast at `p_r`).
-pub fn outer_constraints_split(powers: &PowerSplit, state: &ChannelState) -> ConstraintSet {
     let mut set = ConstraintSet::new(3, "");
-    outer_constraints_split_into(powers, state, &mut set);
+    outer_constraints_split_into(&PowerSplit::symmetric(power), state, &mut set);
     set
 }
 
-/// [`outer_constraints_split`] rebuilding `set` in place (arena reuse —
-/// no heap allocation after warm-up).
+/// Rebuilds `set` in place as the Theorem-4 constraints with per-node
+/// powers — cut terms at the transmitting node's power, relay broadcast
+/// at `p_r` (arena reuse — no heap allocation after warm-up).
 pub fn outer_constraints_split_into(
     powers: &PowerSplit,
     state: &ChannelState,
@@ -158,6 +140,8 @@ pub fn outer_constraints_split_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::constraint_sets_split;
+    use crate::protocol::{Bound, Protocol};
 
     fn fig4_state() -> ChannelState {
         ChannelState::new(0.19952623149688797, 1.0, 3.1622776601683795)
@@ -237,18 +221,16 @@ mod tests {
         assert!(outer.constraints()[2].phase_coefs[1] >= inner.constraints()[2].phase_coefs[1]);
     }
 
+    fn split(bound: Bound, powers: PowerSplit, state: &ChannelState) -> ConstraintSet {
+        constraint_sets_split(Protocol::Tdbc, bound, &powers, state).remove(0)
+    }
+
     #[test]
     fn split_reduces_to_symmetric_at_equal_powers() {
         let s = fig4_state();
         let sym = PowerSplit::symmetric(10.0);
-        assert_eq!(
-            inner_constraints_split(&sym, &s),
-            inner_constraints(10.0, &s)
-        );
-        assert_eq!(
-            outer_constraints_split(&sym, &s),
-            outer_constraints(10.0, &s)
-        );
+        assert_eq!(split(Bound::Inner, sym, &s), inner_constraints(10.0, &s));
+        assert_eq!(split(Bound::Outer, sym, &s), outer_constraints(10.0, &s));
     }
 
     #[test]
@@ -256,8 +238,8 @@ mod tests {
         // The Thm 3 ⊆ Thm 4 containment must survive asymmetric powers.
         let s = fig4_state();
         let powers = PowerSplit::new(4.0, 12.0, 20.0);
-        let inner = inner_constraints_split(&powers, &s);
-        let outer = outer_constraints_split(&powers, &s);
+        let inner = split(Bound::Inner, powers, &s);
+        let outer = split(Bound::Outer, powers, &s);
         let d = [0.4, 0.3, 0.3];
         for i in 0..20 {
             for j in 0..20 {

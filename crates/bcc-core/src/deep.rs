@@ -45,7 +45,7 @@ use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
 use crate::kernel::{BlockSolver, SolveCtx, SolveRequest};
 use crate::protocol::{Protocol, ProtocolMap};
-use crate::scenario::{mix_seed, trial_stream, Evaluator, FadingSpec};
+use crate::scenario::{fading_study, mix_seed, trial_stream, Evaluator, FadingSpec};
 use crate::tails::analytic_outage;
 use bcc_channel::fading::PowerTilt;
 use bcc_num::par;
@@ -402,19 +402,12 @@ impl Evaluator {
     /// # Panics
     ///
     /// Panics if the scenario has no fading model or multiplexing gains,
-    /// carries a `rate_floor`, any grid point has a non-positive reference
-    /// SNR, or the fading model does not support tilting (Rician / no
-    /// fading).
+    /// carries a `rate_floor` or the outer bound, any grid point has a
+    /// non-positive reference SNR, or the fading model does not support
+    /// tilting (Rician / no fading).
     pub fn deep_outage(&mut self, deep: &DeepSpec) -> Result<DeepOutageResult, CoreError> {
         let sc = &self.scenario;
-        assert!(
-            sc.rate_floor.is_none(),
-            "rate_floor applies to sweep()/comparisons() only; deep-outage studies \
-             solve the unconstrained optimum — remove the floor"
-        );
-        let spec = sc
-            .fading
-            .expect("scenario has no fading model; attach one with Scenario::fading(...)");
+        let spec = fading_study(sc.fading, sc.bound, sc.rate_floor.is_some());
         assert!(
             spec.model.supports_tilt(),
             "deep-outage importance sampling needs a Gamma fade power \

@@ -32,7 +32,7 @@ use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
 use crate::kernel::SolveCtx;
 use crate::protocol::{Protocol, ProtocolMap};
-use crate::scenario::{trial_stream, Evaluator, FadingSpec};
+use crate::scenario::{fading_study, trial_stream, Evaluator, FadingSpec};
 use bcc_channel::PowerSplit;
 use bcc_num::optim::golden_section_max;
 use bcc_num::special::log2_1p;
@@ -283,15 +283,18 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Currently infallible (LP failures on faded draws count as rate 0,
-    /// the Monte-Carlo convention); the `Result` keeps the signature
-    /// uniform with the other evaluator runs.
+    /// Currently infallible (no LP runs on a faded draw: the fade sampler
+    /// solves every draw with the closed-form inner-bound kernels, which
+    /// cannot fail); the `Result` keeps the signature uniform with the
+    /// other evaluator runs.
     ///
     /// # Panics
     ///
     /// Panics if the scenario has no fading spec or no multiplexing
-    /// gains, or if any grid point has a zero reference SNR (its log-SNR
-    /// coordinate would be undefined).
+    /// gains, carries a rate floor or the outer bound (see
+    /// [`Scenario::bound`](crate::scenario::Scenario::bound)), or if any
+    /// grid point has a zero reference SNR (its log-SNR coordinate would
+    /// be undefined).
     pub fn dmt(&mut self) -> Result<DmtResult, CoreError> {
         let gains = self.scenario.multiplexing_gains.clone();
         assert!(
@@ -367,14 +370,15 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Currently infallible (see [`Evaluator::dmt`] on the convention);
-    /// the `Result` keeps the signature uniform.
+    /// Currently infallible (a max–min LP failure on a faded draw counts
+    /// as rate 0, the Monte-Carlo convention); the `Result` keeps the
+    /// signature uniform.
     ///
     /// # Panics
     ///
     /// Panics if the scenario has more than one grid point, has no fading
-    /// spec, carries a `power_grid` whose budget disagrees with the
-    /// network's, or if `eps ∉ (0, 1)`.
+    /// spec, carries a rate floor, the outer bound or a `power_grid`
+    /// whose budget disagrees with the network's, or if `eps ∉ (0, 1)`.
     pub fn allocation(&mut self, eps: f64) -> Result<AllocationResult, CoreError> {
         assert!(
             (0.0..1.0).contains(&eps) && eps > 0.0,
@@ -385,17 +389,9 @@ impl Evaluator {
             1,
             "allocation() optimises one operating point; give the scenario a single grid point"
         );
-        assert!(
-            self.scenario.rate_floor.is_none(),
-            "rate_floor applies to sweep()/comparisons() only; allocation() scores the \
-             unconstrained equal-rate optimum — remove the floor"
-        );
-        let spec = self
-            .scenario
-            .fading
-            .expect("scenario has no fading model; attach one with Scenario::fading(...)");
         let threads = self.thread_count();
         let sc = &self.scenario;
+        let spec = fading_study(sc.fading, sc.bound, sc.rate_floor.is_some());
         let base = sc.points[0].net;
         let state = base.state();
         let total = base.powers().total();

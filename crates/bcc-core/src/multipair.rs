@@ -78,7 +78,7 @@ use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::kernel::{par_blocks, SolveOutcome, SolveRequest};
 use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol, ProtocolMap};
-use crate::scenario::{fading_samples, FadingSpec, Scenario};
+use crate::scenario::{fading_samples, fading_study, FadingSpec, Scenario};
 use bcc_channel::fading::FadingModel;
 use bcc_num::Db;
 
@@ -307,7 +307,10 @@ impl MultiPairScenario {
     }
 
     /// Selects which side of each bound to evaluate (default:
-    /// [`Bound::Inner`]).
+    /// [`Bound::Inner`]) in [`MultiPairEvaluator::sweep`].
+    ///
+    /// [`MultiPairEvaluator::outage`] solves the inner optimum and
+    /// **panics** on [`Bound::Outer`], rather than silently ignoring it.
     pub fn bound(mut self, bound: Bound) -> Self {
         self.bound = bound;
         self
@@ -475,24 +478,23 @@ impl MultiPairEvaluator {
     /// any worker count, and for `K = 1` bitwise equal to
     /// [`Evaluator::outage`](crate::scenario::Evaluator::outage).
     ///
-    /// LP failures on a faded draw count as rate 0, matching the
-    /// Monte-Carlo convention of `bcc-sim`.
+    /// No LP runs on a faded draw: the sampler solves every draw with the
+    /// closed-form inner-bound kernels, which cannot fail (it `expect`s
+    /// them to succeed).
     ///
     /// # Errors
     ///
-    /// Currently infallible (failures become rate 0); the `Result` keeps
-    /// the signature parallel to [`MultiPairEvaluator::sweep`].
+    /// Currently infallible; the `Result` keeps the signature parallel to
+    /// [`MultiPairEvaluator::sweep`].
     ///
     /// # Panics
     ///
     /// Panics if the scenario has no fading spec (see
-    /// [`MultiPairScenario::fading`]).
+    /// [`MultiPairScenario::fading`]) or carries the outer bound (see
+    /// [`MultiPairScenario::bound`]).
     pub fn outage(&mut self) -> Result<MultiPairOutage, CoreError> {
-        let spec = self
-            .scenario
-            .fading
-            .expect("scenario has no fading model; attach one with MultiPairScenario::fading(...)");
         let sc = &self.scenario;
+        let spec = fading_study(sc.fading, sc.bound, false);
         let nets: Vec<GaussianNetwork> =
             sc.points.iter().flat_map(|p| p.1.iter().copied()).collect();
         let samples = fading_samples(
@@ -910,6 +912,16 @@ mod tests {
         let serial = scenario.clone().threads(1).build().outage().unwrap();
         let par = scenario.threads(4).build().outage().unwrap();
         assert_eq!(serial, par);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound(Bound::Outer) applies to sweeps only")]
+    fn outage_rejects_outer_bound() {
+        let _ = Scenario::pairs("network", [(0.0, two_pairs(10.0))])
+            .bound(Bound::Outer)
+            .rayleigh(10, 7)
+            .build()
+            .outage();
     }
 
     #[test]

@@ -293,7 +293,13 @@ impl Scenario {
     }
 
     /// Selects which side of each bound to evaluate (default:
-    /// [`Bound::Inner`], the achievable side).
+    /// [`Bound::Inner`], the achievable side) in [`Evaluator::sweep`] /
+    /// [`Evaluator::comparisons`].
+    ///
+    /// The fading studies ([`Evaluator::outage`], [`Evaluator::dmt`],
+    /// [`Evaluator::allocation`], [`Evaluator::deep_outage`]) solve the
+    /// inner optimum and **panic** on [`Bound::Outer`], rather than
+    /// silently ignoring it.
     pub fn bound(mut self, bound: Bound) -> Self {
         self.bound = bound;
         self
@@ -378,9 +384,9 @@ impl Scenario {
     /// single-point queries have no batch to protect).
     ///
     /// The fading studies ([`Evaluator::outage`], [`Evaluator::dmt`],
-    /// [`Evaluator::allocation`]) solve the *unconstrained* optimum and
-    /// **panic** if a floor is attached, rather than silently ignoring
-    /// it.
+    /// [`Evaluator::allocation`], [`Evaluator::deep_outage`]) solve the
+    /// *unconstrained* optimum and **panic** if a floor is attached,
+    /// rather than silently ignoring it.
     ///
     /// # Panics
     ///
@@ -767,14 +773,16 @@ impl Evaluator {
     /// master seed; a single-point scenario reproduces the classic
     /// `McConfig`-style stream of `trial_stream(seed, trial)` exactly.
     ///
-    /// LP failures on a faded draw count as rate 0 (a fade so deep the
-    /// protocol is unusable), matching the Monte-Carlo convention of
-    /// `bcc-sim`.
+    /// No LP runs on a faded draw: the fade sampler solves every draw
+    /// with the closed-form inner-bound kernels, which cannot fail (it
+    /// `expect`s them to succeed), so every sample is the draw's
+    /// optimal sum rate.
     ///
     /// # Panics
     ///
     /// Panics if the scenario has no fading spec (see
-    /// [`Scenario::fading`]).
+    /// [`Scenario::fading`]), or carries a rate floor or the outer bound
+    /// (see [`Scenario::bound`]).
     pub fn outage(&mut self) -> Result<OutageResult, CoreError> {
         let (spec, samples) = self.fading_sum_rate_samples();
         let sc = &self.scenario;
@@ -791,22 +799,31 @@ impl Evaluator {
     /// [`Evaluator::dmt`]: [`fading_samples`] over the grid's networks.
     /// Returns `samples[protocol][point][trial]`.
     pub(crate) fn fading_sum_rate_samples(&self) -> (FadingSpec, ProtocolMap<Vec<Vec<f64>>>) {
-        assert!(
-            self.scenario.rate_floor.is_none(),
-            "rate_floor applies to sweep()/comparisons() only; fading studies \
-             (outage/dmt/allocation) solve the unconstrained optimum, so a floored \
-             scenario would silently misreport outage — remove the floor"
-        );
-        let spec = self
-            .scenario
-            .fading
-            .expect("scenario has no fading model; attach one with Scenario::fading(...)");
         let sc = &self.scenario;
+        let spec = fading_study(sc.fading, sc.bound, sc.rate_floor.is_some());
         let nets: Vec<GaussianNetwork> = sc.points.iter().map(|p| p.net).collect();
         let block = sc.effective_block_size();
         let samples = fading_samples(self.thread_count(), &nets, &sc.protocols, &spec, block);
         (spec, samples)
     }
+}
+
+/// The fading spec of a fading study (outage, DMT, allocation, deep
+/// outage), which solves the unconstrained inner optimum of every draw:
+/// panics on a rate floor or the outer bound (the study would silently
+/// ignore either), or if there is no fading spec.
+pub(crate) fn fading_study(spec: Option<FadingSpec>, bound: Bound, floored: bool) -> FadingSpec {
+    assert!(
+        !floored,
+        "rate_floor applies to sweep()/comparisons() only; fading studies solve the \
+         unconstrained optimum — remove the floor"
+    );
+    assert!(
+        bound == Bound::Inner,
+        "bound(Bound::Outer) applies to sweeps only; fading studies solve the inner \
+         optimum — remove the outer bound"
+    );
+    spec.expect("scenario has no fading model; attach one with fading(...)")
 }
 
 /// The fade sampler of both evaluators: per network and trial, one
@@ -1408,6 +1425,18 @@ mod tests {
         assert!(q10 <= q50);
         // Probability inverts rate approximately.
         assert!(out.outage_probability(Protocol::Hbc, 0, q50).unwrap() <= 0.55);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound(Bound::Outer) applies to sweeps only")]
+    fn outage_rejects_outer_bound() {
+        // TDBC's outer sum rate here (3.102) exceeds its inner one (3.057),
+        // so inner-bound samples under an outer label would misreport.
+        let _ = Scenario::at(fig4_net(10.0))
+            .bound(Bound::Outer)
+            .rayleigh(10, 7)
+            .build()
+            .outage();
     }
 
     #[test]
