@@ -49,7 +49,10 @@
 //! lanes rather than the scalar tail) and `allocs_per_point` (heap
 //! allocations per grid point/trial, measured by a counting global
 //! allocator — the zero-allocation hot-loop regression canary). The
-//! report also records the `block_size` the batched paths chunk by.
+//! report also records the `block_size` the batched paths chunk by and
+//! the `lane_isa` their lane kernels ran on (`bcc_core::batch::lane_isa`:
+//! `avx512f`, `avx2` or `portable`), so a baseline recorded on one lane
+//! path is not read against a run on another unawares.
 //!
 //! Usage:
 //!
@@ -59,15 +62,16 @@
 //!
 //! `--out` defaults to `results/BENCH_evaluator.json`. With `--check`, the
 //! run prints one verdict per rule of the [`gates`] table, which lists
-//! the rules and their bounds, and exits 1 if any rule fails. Refresh the
-//! baseline by copying a trusted run's `BENCH_evaluator.json` over
-//! `ci/bench_baseline.json`.
+//! the rules and their bounds, and exits 1 if any rule fails. A baseline
+//! that cannot be read is a bad argument: the usage is printed and the
+//! run exits 2 before timing anything. Refresh the baseline by copying a
+//! trusted run's `BENCH_evaluator.json` over `ci/bench_baseline.json`.
 
 use bcc_bench::{benchjson, fig4_network, results_dir, servestudy, FIG3_GAB_DB, FIG3_POWER_DB};
 use bcc_core::comparison::sum_rate_crossover_db;
 use bcc_core::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -577,6 +581,10 @@ fn render_json(available: usize, parallel: usize, timings: &[Timing]) -> String 
         "  \"threads\": {{ \"available\": {available}, \"parallel\": {parallel} }},\n"
     ));
     out.push_str(&format!(
+        "  \"lane_isa\": \"{}\",\n",
+        bcc_core::batch::lane_isa()
+    ));
+    out.push_str(&format!(
         "  \"block_size\": {},\n",
         bcc_core::batch::DEFAULT_BLOCK
     ));
@@ -873,6 +881,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     Ok(Cli::Run { out, check })
 }
 
+/// Reads the `--check` baseline; `Err` carries the message to print
+/// above the usage.
+fn load_baseline(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))
+}
+
 fn main() {
     servestudy::install_panic_audit();
     let (out_path, check_path) = match parse_args(std::env::args().skip(1)) {
@@ -887,10 +902,21 @@ fn main() {
         }
     };
     let out_path = out_path.unwrap_or_else(|| results_dir().join("BENCH_evaluator.json"));
+    let check = check_path.map(|path| match load_baseline(&path) {
+        Ok(baseline) => (path, baseline),
+        Err(msg) => {
+            eprintln!("bench-report: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    });
 
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let parallel = bcc_num::par::thread_count();
-    println!("bench-report: {available} hardware threads, parallel mode uses {parallel}\n");
+    println!(
+        "bench-report: {available} hardware threads, parallel mode uses {parallel}, \
+         lane ISA {}\n",
+        bcc_core::batch::lane_isa()
+    );
 
     let timings = [
         time_fig3(parallel),
@@ -930,9 +956,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_evaluator.json");
     println!("\nreport written to {}", out_path.display());
 
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
+    if let Some((baseline_path, baseline)) = check {
         let mut passed = true;
         for verdict in gates(&timings, &baseline) {
             match verdict {
@@ -952,7 +976,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{gates, parse_args, tolerance, Cli, SolveMix, Timing};
+    use super::{gates, load_baseline, parse_args, tolerance, Cli, SolveMix, Timing};
     use bcc_bench::benchjson::scenario_field;
     use bcc_bench::deepstudy::{PLAIN_MC_FLOOR, REL_ERR_TARGET};
     use std::path::PathBuf;
@@ -1149,6 +1173,16 @@ mod tests {
         assert_eq!(
             parse(&["--out", "r.json", "--check"]),
             Err("--check needs a path".into())
+        );
+    }
+
+    #[test]
+    fn a_missing_baseline_is_an_error_not_a_panic() {
+        let path = std::env::temp_dir().join("bench-report-no-such-baseline.json");
+        let msg = load_baseline(&path).expect_err("nothing at that path");
+        assert!(
+            msg.starts_with(&format!("cannot read baseline {}: ", path.display())),
+            "{msg}"
         );
     }
 }

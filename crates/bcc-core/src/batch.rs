@@ -1,5 +1,6 @@
 //! Structure-of-arrays batch kernels: the closed-form solves, written
-//! once over a lane-op type and run four points per AVX2 instruction.
+//! once over a lane-op type and run eight points per AVX-512 or four
+//! points per AVX2 instruction.
 //!
 //! # Why batches
 //!
@@ -18,20 +19,28 @@
 //! Every kernel body is written once, generic over a private `Lane`
 //! trait: a vector of `f64` lanes with exact IEEE-754 lanewise
 //! `+ − × ÷`, negation and `abs`, ordered compares into a lane mask, and
-//! masked select. Two types implement it:
+//! masked select. Three types implement it:
 //!
 //! * `Portable<M>`, `M` plain `f64`s (`[f64; M]`). Width 1 serves the
 //!   scalar entry points of [`crate::kernel`] and every block's tail;
 //!   width [`LANE`] serves whole blocks on hosts without AVX2.
-//! * `simd::F64x4`, one `__m256d` register. On x86_64 every block kernel
-//!   checks `is_x86_feature_detected!("avx2")` at run time and takes
-//!   this path when the CPU has AVX2. No cargo feature is involved.
+//! * `simd::F64x4`, one `__m256d` register, behind an `Avx2` token.
+//! * `simd::F64x8`, one `__m512d` register with `__mmask8` lane masks,
+//!   behind an `Avx512` token (AVX-512F and AVX2 both detected).
+//!
+//! # Dispatch
+//!
+//! Each block kernel picks its path at run time, widest first, with no
+//! cargo feature, environment variable or option involved: AVX-512 when
+//! `is_x86_feature_detected!` reports avx512f and avx2, else AVX2 when
+//! it reports avx2, else portable. [`lane_isa`] names the path this host
+//! takes. A host without AVX-512 never runs `F64x8` code.
 //!
 //! The lane bodies call no `f64::min`, `max` or `clamp`. LLVM lowers
 //! those differently at different opt-levels — `(-0.0).max(0.0)` is −0.0
 //! in a debug build and +0.0 in a release build — so results would
 //! depend on the build. Each is instead one written meaning, built from
-//! compares and selects and shared by both lane types:
+//! compares and selects and shared by all lane types:
 //!
 //! * `x.min(y)` is `isnan(x) ? y : (y < x ? y : x)`, so a ±0 tie keeps
 //!   `x`;
@@ -40,36 +49,49 @@
 //! * a clamp to `[0, 1]` is `x < 0 ? 0 : x`, then `x > 1 ? 1 : x`.
 //!
 //! These are the meanings an optimised build gave the `f64` calls, so
-//! release-build results keep their bits.
+//! release-build results keep their bits. The vector types compute the
+//! same meanings with `vminpd(y, x)` plus a NaN blend, `vmaxpd` and a
+//! (masked) sign-bit xor for negation.
 //!
 //! # Lane layout and the tail
 //!
-//! Blocks are processed in fixed chunks of [`LANE`] points; a block
-//! whose length is not a multiple of `LANE` finishes with a width-1 tail
-//! through the *same* generic lane body. Every candidate in the
-//! enumeration is evaluated for every lane and the running best is
-//! updated by masked select, so the per-lane operation sequence is
-//! identical at any width.
+//! A block runs its points front to back in vector chunks and finishes
+//! with a width-1 tail through the *same* generic lane body:
+//!
+//! * AVX-512: full 8-wide chunks, then one 4-wide AVX2 chunk if at least
+//!   four points remain, then at most three width-1 points;
+//! * AVX2 and portable: full [`LANE`]-wide chunks, then at most three
+//!   width-1 points.
+//!
+//! So every path leaves the same fewer-than-[`LANE`] points to the
+//! width-1 tail, and [`stats::KernelStats::lanes_filled`] reads the same
+//! on every host. Every candidate in the enumeration is evaluated for
+//! every lane and the running best is updated by masked select, so the
+//! per-lane operation sequence is identical at any width.
 //!
 //! # Determinism
 //!
 //! There is no ULP gap to document: results are **bit-identical** across
-//! the AVX2 path, the portable path, the width-1 scalar entry points and
-//! every opt-level. Every lane op is one exact IEEE-754 operation (no FMA
-//! contraction, no horizontal reductions), lanes never interact, and the
+//! the AVX-512, AVX2 and portable paths, the width-1 scalar entry points
+//! and every opt-level. Every lane op is one exact IEEE-754 operation,
+//! lanes never interact (no horizontal reductions), and the
 //! `min`/`max`/clamp meanings above are spelled out instead of left to
-//! codegen. The golden suite (`bcc-core/tests/kernel_golden.rs`) pins the
-//! bits; the batch differential suite
-//! (`bcc/tests/batch_differential.rs`), the oracle proptests
-//! (`kernel_oracle.rs`) and this module's tests compare the paths.
+//! codegen. No FMA contraction happens anywhere: Rust emits no
+//! `contract` fast-math flag, so LLVM never fuses a written `a * b + c`
+//! into one rounding, not even in the AVX-512 block functions whose
+//! enabled features imply FMA. The golden suite
+//! (`bcc-core/tests/kernel_golden.rs`) pins the bits; the batch
+//! differential suite (`bcc/tests/batch_differential.rs`), the oracle
+//! proptests (`kernel_oracle.rs`) and this module's tests compare the
+//! paths.
 //!
 //! # `unsafe`
 //!
 //! All of the crate's `unsafe` lives in the private `simd` module: the
-//! AVX2 intrinsics, and the calls into its
-//! `#[target_feature(enable = "avx2")]` block bodies. An AVX2 lane value
-//! can only be built from an `Avx2` token (or from other lane values),
-//! and the token's only constructor is the runtime detection, so every
+//! AVX2 and AVX-512 intrinsics, and the calls into its
+//! `#[target_feature]` block bodies. A vector lane value can only be
+//! built from its ISA token (or from other lane values of its type), and
+//! each token's only constructor is the runtime detection, so every
 //! intrinsic runs on a CPU that has it.
 //!
 //! # Counters
@@ -77,9 +99,10 @@
 //! [`stats`] holds the closed-form kernels' [`bcc_num::metrics`] counter
 //! set, [`stats::KernelStats`]: solves served by a kernel (scalar or
 //! block), points solved through block kernels, and how many of them ran
-//! in full-`LANE` chunks. A block records all three at once, when it
-//! finishes; a scalar entry point records one kernel hit. Counts are
-//! per-thread: read them on the thread that ran the kernels.
+//! in vector chunks rather than the width-1 tail. A block records all
+//! three at once, when it finishes; a scalar entry point records one
+//! kernel hit. Counts are per-thread: read them on the thread that ran
+//! the kernels.
 
 use crate::bounds::LinkCaps;
 use crate::constraint::PhaseVec;
@@ -87,16 +110,20 @@ use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::optimizer::SchedulePoint;
 use crate::protocol::Protocol;
 use bcc_channel::{ChannelState, PowerSplit};
-use bcc_info::awgn_capacity;
-use bcc_info::gaussian::mac_sum_capacity;
 use std::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Sub};
 
-/// Lane width of the batched kernels: points per vector chunk.
+/// Points per chunk of the narrowest vector lane type.
 ///
-/// Four `f64` lanes fill one AVX2 register; the portable path runs the
-/// same width as `[f64; LANE]`, and the tail runs the same code at
-/// width 1.
+/// Four `f64` lanes fill one AVX2 register, and the portable path runs
+/// the same width as `[f64; LANE]`. The AVX-512 path runs chunks of
+/// `2 · LANE` points and then at most one chunk of `LANE`, so on every
+/// path a block of `n` points sends its last `n % LANE` points through
+/// the width-1 tail.
 pub const LANE: usize = 4;
+
+/// Points per value of the widest lane type (`simd::F64x8`): the size of
+/// the buffers a chunk's answers are unpacked through.
+const MAX_WIDTH: usize = 2 * LANE;
 
 /// Default points per [`PointBlock`] when a caller does not override it
 /// (see `Scenario::block_size`): large enough to amortise per-block
@@ -115,9 +142,10 @@ pub mod stats {
             pub kernel_hits: u64,
             /// Points solved through a block kernel.
             pub batched_points: u64,
-            /// Batched points that ran inside a full
-            /// [`LANE`](super::LANE)-wide chunk (the vectorised share; the
-            /// remainder went through the width-1 scalar tail).
+            /// Batched points that ran inside a full vector chunk (the
+            /// vectorised share: all but the last `n %`
+            /// [`LANE`](super::LANE) points of an `n`-point block; those
+            /// went through the width-1 scalar tail).
             pub lanes_filled: u64,
         }
     }
@@ -230,10 +258,10 @@ impl PointBlock {
         self.push(&net.powers(), &net.state());
     }
 
-    /// Evaluates the seven capacity lanes for every staged point —
-    /// lanewise products with one scalar `log2` per capacity, using
-    /// exactly the expressions of [`LinkCaps::compute`] (bit-identical
-    /// to the scalar path).
+    /// Evaluates the seven capacity lanes for every staged point through
+    /// the same per-point expressions as [`LinkCaps::compute`]
+    /// (bit-identical to the scalar path, one scalar `log2` per distinct
+    /// SNR of the point).
     pub fn compute_caps(&mut self) {
         let n = self.len();
         self.c_a_ab.clear();
@@ -244,15 +272,17 @@ impl PointBlock {
         self.c_r_br.clear();
         self.c_mac.clear();
         for i in 0..n {
-            let snr_ar = self.pa[i] * self.gar[i];
-            let snr_br = self.pb[i] * self.gbr[i];
-            self.c_a_ab.push(awgn_capacity(self.pa[i] * self.gab[i]));
-            self.c_b_ab.push(awgn_capacity(self.pb[i] * self.gab[i]));
-            self.c_a_ar.push(awgn_capacity(snr_ar));
-            self.c_b_br.push(awgn_capacity(snr_br));
-            self.c_r_ar.push(awgn_capacity(self.pr[i] * self.gar[i]));
-            self.c_r_br.push(awgn_capacity(self.pr[i] * self.gbr[i]));
-            self.c_mac.push(mac_sum_capacity(snr_ar, snr_br));
+            let c = LinkCaps::at(
+                [self.pa[i], self.pb[i], self.pr[i]],
+                [self.gab[i], self.gar[i], self.gbr[i]],
+            );
+            self.c_a_ab.push(c.c_a_ab);
+            self.c_b_ab.push(c.c_b_ab);
+            self.c_a_ar.push(c.c_a_ar);
+            self.c_b_br.push(c.c_b_br);
+            self.c_r_ar.push(c.c_r_ar);
+            self.c_r_br.push(c.c_r_br);
+            self.c_mac.push(c.c_mac);
         }
         self.caps_ready = true;
     }
@@ -503,9 +533,9 @@ portable_lanes!(1: 0; 4: 0 1 2 3;);
 
 /// The lanes of `v` (the first `L::WIDTH` entries are live).
 #[inline(always)]
-fn lanes<L: Lane>(v: L) -> [f64; LANE] {
-    const { assert!(L::WIDTH <= LANE) };
-    let mut a = [0.0; LANE];
+fn lanes<L: Lane>(v: L) -> [f64; MAX_WIDTH] {
+    const { assert!(L::WIDTH <= MAX_WIDTH) };
+    let mut a = [0.0; MAX_WIDTH];
     v.store(&mut a);
     a
 }
@@ -513,11 +543,11 @@ fn lanes<L: Lane>(v: L) -> [f64; LANE] {
 /// Per-phase duration lanes transposed to per-lane duration vectors
 /// (the first `L::WIDTH` rows are live).
 #[inline(always)]
-fn phase_lanes<L: Lane, const P: usize>(d: [L; P]) -> [[f64; P]; LANE] {
-    let mut out = [[0.0; P]; LANE];
+fn phase_lanes<L: Lane, const P: usize>(d: [L; P]) -> [[f64; P]; MAX_WIDTH] {
+    let mut out = [[0.0; P]; MAX_WIDTH];
     for (k, x) in d.into_iter().enumerate() {
         let x = lanes(x);
-        for l in 0..LANE {
+        for l in 0..L::WIDTH {
             out[l][k] = x[l];
         }
     }
@@ -1204,104 +1234,239 @@ pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> Option<Schedul
 // Block drivers
 // ---------------------------------------------------------------------------
 
-/// Runs lane body `$body` over every full `$L`-wide chunk of the block,
-/// handing each chunk's answer to `.push($args)`; evaluates to the index
-/// where the width-1 tail starts.
+/// Runs lane body `$body` over the block's full `$L`-wide chunks from
+/// index `$from` on, handing each chunk's answer to `.push($args)`;
+/// evaluates to the index where the chunks stop.
 macro_rules! chunks {
-    ($L:ty, $isa:expr, $block:expr, $body:ident.push($($arg:expr),*)) => {{
+    ($L:ty, $isa:expr, $block:expr, $from:expr, $body:ident.push($($arg:expr),*)) => {{
         let w = <$L as Lane>::WIDTH;
-        let tail = $block.len() - $block.len() % w;
-        for i in (0..tail).step_by(w) {
+        let end = $from + ($block.len() - $from) / w * w;
+        for i in ($from..end).step_by(w) {
             $body::<$L>($isa, &CapsLanes::load($isa, $block, i)).push($($arg),*);
         }
-        tail
+        end
     }};
 }
 
-/// The whole-block sum-rate body over lane type `L`: full chunks, then a
-/// tail through [`sum_rate_one`] (the same lane bodies at width 1).
+/// The sum-rate lane body over full `L`-wide chunks of the block from
+/// point `from` on; returns the index where the chunks stop.
 #[inline(always)]
-fn sum_block_with<L: Lane>(
+fn sum_chunks<L: Lane>(
     isa: L::Isa,
     block: &PointBlock,
+    from: usize,
     protocol: Protocol,
     out: &mut Vec<SumRateSolution>,
-) {
-    out.reserve(block.len());
-    let tail = match protocol {
-        Protocol::DirectTransmission => chunks!(L, isa, block, dt_sum_lanes.push(protocol, out)),
-        Protocol::Mabc => chunks!(L, isa, block, mabc_sum_lanes.push(protocol, out)),
-        Protocol::Tdbc => chunks!(L, isa, block, tdbc_sum_lanes.push(protocol, out)),
-        Protocol::Hbc => chunks!(L, isa, block, hbc_sum_lanes.push(protocol, out)),
-    };
-    for i in tail..block.len() {
-        out.push(sum_rate_one(&block.caps(i), protocol));
+) -> usize {
+    match protocol {
+        Protocol::DirectTransmission => {
+            chunks!(L, isa, block, from, dt_sum_lanes.push(protocol, out))
+        }
+        Protocol::Mabc => chunks!(L, isa, block, from, mabc_sum_lanes.push(protocol, out)),
+        Protocol::Tdbc => chunks!(L, isa, block, from, tdbc_sum_lanes.push(protocol, out)),
+        Protocol::Hbc => chunks!(L, isa, block, from, hbc_sum_lanes.push(protocol, out)),
     }
 }
 
-/// The whole-block max–min body over lane type `L` (DT/MABC/TDBC): full
-/// chunks, then a tail through [`max_min_one`].
+/// The max–min lane body (DT/MABC/TDBC) over full `L`-wide chunks of the
+/// block from point `from` on; returns the index where the chunks stop.
 #[inline(always)]
-fn mm_block_with<L: Lane>(
+fn mm_chunks<L: Lane>(
     isa: L::Isa,
     block: &PointBlock,
+    from: usize,
     protocol: Protocol,
     out: &mut Vec<SchedulePoint>,
-) {
-    out.reserve(block.len());
-    let tail = match protocol {
-        Protocol::DirectTransmission => chunks!(L, isa, block, dt_mm_lanes.push(out)),
-        Protocol::Mabc => chunks!(L, isa, block, mabc_mm_lanes.push(out)),
-        Protocol::Tdbc => chunks!(L, isa, block, tdbc_mm_lanes.push(out)),
+) -> usize {
+    match protocol {
+        Protocol::DirectTransmission => chunks!(L, isa, block, from, dt_mm_lanes.push(out)),
+        Protocol::Mabc => chunks!(L, isa, block, from, mabc_mm_lanes.push(out)),
+        Protocol::Tdbc => chunks!(L, isa, block, from, tdbc_mm_lanes.push(out)),
         Protocol::Hbc => unreachable!("HBC max-min has no closed form"),
-    };
-    for i in tail..block.len() {
-        out.push(max_min_one(&block.caps(i), protocol).expect("closed form"));
     }
 }
 
-/// The sum-rate block path on portable `[f64; LANE]` lanes: what hosts
-/// without AVX2 run, callable on any host so tests cover it everywhere.
-fn sum_block_portable(block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
-    sum_block_with::<Portable<LANE>>((), block, protocol, out);
+/// The vector lanes a block kernel runs on: holding a variant proves the
+/// host can run it.
+#[derive(Clone, Copy)]
+enum LanePath {
+    /// `[f64; LANE]` chunks: hosts without AVX2, and other architectures.
+    Portable,
+    /// `F64x4` chunks.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(simd::Avx2),
+    /// `F64x8` chunks, then at most one `F64x4` chunk.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(simd::Avx512),
 }
 
-/// The max–min block path on portable `[f64; LANE]` lanes (see
-/// [`sum_block_portable`]).
-fn mm_block_portable(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
-    mm_block_with::<Portable<LANE>>((), block, protocol, out);
+impl LanePath {
+    /// The widest path this host supports: AVX-512, then AVX2, then
+    /// portable.
+    fn detect() -> LanePath {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if let Some(isa) = simd::Avx512::detect() {
+                return LanePath::Avx512(isa);
+            }
+            if let Some(isa) = simd::Avx2::detect() {
+                return LanePath::Avx2(isa);
+            }
+        }
+        LanePath::Portable
+    }
+
+    /// The instruction set's name, as [`lane_isa`] reports it.
+    fn name(self) -> &'static str {
+        match self {
+            LanePath::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx2(_) => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx512(_) => "avx512f",
+        }
+    }
+
+    /// The whole-block sum rate on this path: its vector chunks, then a
+    /// tail through [`sum_rate_one`] (the same lane bodies at width 1).
+    fn sum_block(self, block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
+        out.reserve(block.len());
+        let tail = match self {
+            LanePath::Portable => sum_chunks::<Portable<LANE>>((), block, 0, protocol, out),
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx2(isa) => isa.sum_chunks(block, protocol, out),
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx512(isa) => isa.sum_chunks(block, protocol, out),
+        };
+        for i in tail..block.len() {
+            out.push(sum_rate_one(&block.caps(i), protocol));
+        }
+        finish_block(block.len(), tail);
+    }
+
+    /// The whole-block max–min (DT/MABC/TDBC) on this path: its vector
+    /// chunks, then a tail through [`max_min_one`].
+    fn mm_block(self, block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
+        out.reserve(block.len());
+        let tail = match self {
+            LanePath::Portable => mm_chunks::<Portable<LANE>>((), block, 0, protocol, out),
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx2(isa) => isa.mm_chunks(block, protocol, out),
+            #[cfg(target_arch = "x86_64")]
+            LanePath::Avx512(isa) => isa.mm_chunks(block, protocol, out),
+        };
+        for i in tail..block.len() {
+            out.push(max_min_one(&block.caps(i), protocol).expect("closed form"));
+        }
+        finish_block(block.len(), tail);
+    }
 }
 
-/// The AVX2 lane type and the block bodies instantiated on it. This
-/// module holds all of the crate's `unsafe`.
+/// The AVX2 and AVX-512 lane types and the block bodies instantiated on
+/// them. This module holds all of the crate's `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    use super::{mm_block_with, sum_block_with, Lane, PointBlock, Protocol};
+    use super::{mm_chunks, sum_chunks, Lane, PointBlock, Protocol};
     use crate::gaussian::SumRateSolution;
     use crate::optimizer::SchedulePoint;
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd,
-        _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_or_pd,
-        _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _CMP_GE_OQ, _CMP_GT_OQ,
+        __m256d, __m512d, __mmask8, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd,
+        _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd,
+        _mm256_min_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd, _mm256_storeu_pd,
+        _mm256_sub_pd, _mm256_xor_pd, _mm512_abs_pd, _mm512_add_pd, _mm512_castpd_si512,
+        _mm512_castsi512_pd, _mm512_cmp_pd_mask, _mm512_div_pd, _mm512_loadu_pd,
+        _mm512_mask_blend_pd, _mm512_mask_xor_epi64, _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd,
+        _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd, _CMP_GE_OQ, _CMP_GT_OQ,
         _CMP_LE_OQ, _CMP_LT_OQ, _CMP_UNORD_Q,
     };
     use std::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Sub};
 
-    /// Proof that the running CPU supports AVX2: [`Avx2::detect`] is its
-    /// only constructor.
+    /// Proof that the running CPU supports AVX2: [`Avx2::detect`] (or
+    /// [`Avx512::avx2`], whose detection checked AVX2 too) is its only
+    /// constructor.
     #[derive(Clone, Copy)]
     pub(super) struct Avx2(());
 
     impl Avx2 {
-        fn detect() -> Option<Avx2> {
+        pub(super) fn detect() -> Option<Avx2> {
             std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+
+        /// The sum-rate block body on `F64x4` lanes; returns where the
+        /// width-1 tail starts.
+        pub(super) fn sum_chunks(
+            self,
+            block: &PointBlock,
+            protocol: Protocol,
+            out: &mut Vec<SumRateSolution>,
+        ) -> usize {
+            // SAFETY: `self` proves the CPU supports AVX2, the only
+            // feature `sum_chunks_avx2` enables.
+            unsafe { sum_chunks_avx2(self, block, protocol, out) }
+        }
+
+        /// The max–min block body on `F64x4` lanes; returns where the
+        /// width-1 tail starts.
+        pub(super) fn mm_chunks(
+            self,
+            block: &PointBlock,
+            protocol: Protocol,
+            out: &mut Vec<SchedulePoint>,
+        ) -> usize {
+            // SAFETY: `self` proves the CPU supports AVX2, the only
+            // feature `mm_chunks_avx2` enables.
+            unsafe { mm_chunks_avx2(self, block, protocol, out) }
+        }
+    }
+
+    /// Proof that the running CPU supports AVX-512F and AVX2:
+    /// [`Avx512::detect`] is its only constructor.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx512(());
+
+    impl Avx512 {
+        pub(super) fn detect() -> Option<Avx512> {
+            let yes = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2");
+            yes.then_some(Avx512(()))
+        }
+
+        /// The AVX2 token: [`Avx512::detect`] checked AVX2 too.
+        fn avx2(self) -> Avx2 {
+            Avx2(())
+        }
+
+        /// The sum-rate block body on `F64x8` lanes, then at most one
+        /// `F64x4` chunk; returns where the width-1 tail starts.
+        pub(super) fn sum_chunks(
+            self,
+            block: &PointBlock,
+            protocol: Protocol,
+            out: &mut Vec<SumRateSolution>,
+        ) -> usize {
+            // SAFETY: `self` proves the CPU supports AVX-512F and AVX2,
+            // the features `sum_chunks_avx512` enables.
+            unsafe { sum_chunks_avx512(self, block, protocol, out) }
+        }
+
+        /// The max–min block body on `F64x8` lanes, then at most one
+        /// `F64x4` chunk; returns where the width-1 tail starts.
+        pub(super) fn mm_chunks(
+            self,
+            block: &PointBlock,
+            protocol: Protocol,
+            out: &mut Vec<SchedulePoint>,
+        ) -> usize {
+            // SAFETY: `self` proves the CPU supports AVX-512F and AVX2,
+            // the features `mm_chunks_avx512` enables.
+            unsafe { mm_chunks_avx512(self, block, protocol, out) }
         }
     }
 
     /// Four `f64` lanes in one AVX2 register. A value is built from an
     /// [`Avx2`] token or from other `F64x4`s, so holding one proves the
-    /// CPU supports AVX2 — the premise of every `unsafe` block below.
+    /// CPU supports AVX2 — the premise of every `unsafe` block on it.
     #[derive(Clone, Copy)]
     pub(super) struct F64x4(__m256d);
 
@@ -1310,14 +1475,26 @@ mod simd {
     #[derive(Clone, Copy)]
     pub(super) struct Mask4(__m256d);
 
+    /// Eight `f64` lanes in one AVX-512 register. A value is built from
+    /// an [`Avx512`] token or from other `F64x8`s, so holding one proves
+    /// the CPU supports AVX-512F — the premise of every `unsafe` block on
+    /// it.
+    #[derive(Clone, Copy)]
+    pub(super) struct F64x8(__m512d);
+
+    /// Lane mask of [`F64x8`]: one bit per lane, from a compare of
+    /// `F64x8`s. Its `&` and `|` are plain integer ops.
+    #[derive(Clone, Copy)]
+    pub(super) struct Mask8(__mmask8);
+
     macro_rules! avx_ops {
         ($ty:ident: $($tr:ident $f:ident $intr:ident),*) => {$(
             impl $tr for $ty {
                 type Output = Self;
                 #[inline(always)]
                 fn $f(self, y: Self) -> Self {
-                    // SAFETY: both operands are AVX2 lane values, so AVX2
-                    // is present.
+                    // SAFETY: both operands are lane values of this type,
+                    // so the CPU has the instruction set it needs.
                     $ty(unsafe { $intr(self.0, y.0) })
                 }
             }
@@ -1326,6 +1503,24 @@ mod simd {
     avx_ops!(F64x4: Add add _mm256_add_pd, Sub sub _mm256_sub_pd, Mul mul _mm256_mul_pd,
         Div div _mm256_div_pd);
     avx_ops!(Mask4: BitAnd bitand _mm256_and_pd, BitOr bitor _mm256_or_pd);
+    avx_ops!(F64x8: Add add _mm512_add_pd, Sub sub _mm512_sub_pd, Mul mul _mm512_mul_pd,
+        Div div _mm512_div_pd);
+
+    impl BitAnd for Mask8 {
+        type Output = Self;
+        #[inline(always)]
+        fn bitand(self, y: Self) -> Self {
+            Mask8(self.0 & y.0)
+        }
+    }
+
+    impl BitOr for Mask8 {
+        type Output = Self;
+        #[inline(always)]
+        fn bitor(self, y: Self) -> Self {
+            Mask8(self.0 | y.0)
+        }
+    }
 
     impl Neg for F64x4 {
         type Output = Self;
@@ -1336,12 +1531,46 @@ mod simd {
         }
     }
 
+    impl Neg for F64x8 {
+        type Output = Self;
+        #[inline(always)]
+        fn neg(self) -> Self {
+            flip_sign(self, Mask8(0xff))
+        }
+    }
+
+    /// Flips the sign bit of the lanes set in `m` (`-x` there, `x`
+    /// elsewhere). A masked integer xor: AVX-512F has no `f64` xor.
+    #[inline(always)]
+    fn flip_sign(x: F64x8, m: Mask8) -> F64x8 {
+        // SAFETY: `x` is an AVX-512 lane value, so AVX-512F is present.
+        F64x8(unsafe {
+            let bits = _mm512_castpd_si512(x.0);
+            let sign = _mm512_set1_epi64(i64::MIN);
+            _mm512_castsi512_pd(_mm512_mask_xor_epi64(bits, m.0, bits, sign))
+        })
+    }
+
     /// A lanewise ordered/unordered compare (`CMP` is an `_CMP_*` code).
     #[inline(always)]
-    fn cmp<const CMP: i32>(x: F64x4, y: F64x4) -> Mask4 {
+    fn cmp4<const CMP: i32>(x: F64x4, y: F64x4) -> Mask4 {
         // SAFETY: both operands are AVX2 lane values, so AVX2 is present.
         Mask4(unsafe { _mm256_cmp_pd::<CMP>(x.0, y.0) })
     }
+
+    /// A lanewise ordered/unordered compare into a bit mask (`CMP` is an
+    /// `_CMP_*` code).
+    #[inline(always)]
+    fn cmp8<const CMP: i32>(x: F64x8, y: F64x8) -> Mask8 {
+        // SAFETY: both operands are AVX-512 lane values, so AVX-512F is
+        // present.
+        Mask8(unsafe { _mm512_cmp_pd_mask::<CMP>(x.0, y.0) })
+    }
+
+    // The `min`/`max` overrides below compute the written meanings
+    // exactly: the SDM defines `vminpd a, b` as `a < b ? a : b` and
+    // `vmaxpd a, b` as `a > b ? a : b`, each returning `b` when either is
+    // NaN, at every vector length.
 
     impl Lane for F64x4 {
         type Mask = Mask4;
@@ -1378,27 +1607,27 @@ mod simd {
 
         #[inline(always)]
         fn lt(self, y: Self) -> Mask4 {
-            cmp::<_CMP_LT_OQ>(self, y)
+            cmp4::<_CMP_LT_OQ>(self, y)
         }
 
         #[inline(always)]
         fn le(self, y: Self) -> Mask4 {
-            cmp::<_CMP_LE_OQ>(self, y)
+            cmp4::<_CMP_LE_OQ>(self, y)
         }
 
         #[inline(always)]
         fn gt(self, y: Self) -> Mask4 {
-            cmp::<_CMP_GT_OQ>(self, y)
+            cmp4::<_CMP_GT_OQ>(self, y)
         }
 
         #[inline(always)]
         fn ge(self, y: Self) -> Mask4 {
-            cmp::<_CMP_GE_OQ>(self, y)
+            cmp4::<_CMP_GE_OQ>(self, y)
         }
 
         #[inline(always)]
         fn is_nan(self) -> Mask4 {
-            cmp::<_CMP_UNORD_Q>(self, self)
+            cmp4::<_CMP_UNORD_Q>(self, self)
         }
 
         #[inline(always)]
@@ -1407,10 +1636,6 @@ mod simd {
             // present.
             F64x4(unsafe { _mm256_blendv_pd(f.0, t.0, m.0) })
         }
-
-        // The overrides below compute the written meanings exactly: the
-        // SDM defines `vminpd a, b` as `a < b ? a : b` and `vmaxpd a, b`
-        // as `a > b ? a : b`, each returning `b` when either is NaN.
 
         #[inline(always)]
         fn min(self, y: Self) -> Self {
@@ -1438,79 +1663,161 @@ mod simd {
         }
     }
 
+    impl Lane for F64x8 {
+        type Mask = Mask8;
+        type Isa = Avx512;
+        const WIDTH: usize = 8;
+
+        #[inline(always)]
+        fn splat(_: Avx512, x: f64) -> Self {
+            // SAFETY: the `Avx512` token proves AVX-512F is present.
+            F64x8(unsafe { _mm512_set1_pd(x) })
+        }
+
+        #[inline(always)]
+        fn load(_: Avx512, v: &[f64]) -> Self {
+            let v = &v[..8];
+            // SAFETY: the `Avx512` token proves AVX-512F is present, and
+            // `v` holds the eight values the unaligned load reads.
+            F64x8(unsafe { _mm512_loadu_pd(v.as_ptr()) })
+        }
+
+        #[inline(always)]
+        fn store(self, out: &mut [f64]) {
+            let out = &mut out[..8];
+            // SAFETY: `self` is an AVX-512 lane value, so AVX-512F is
+            // present, and `out` has room for the eight values the store
+            // writes.
+            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: `self` is an AVX-512 lane value, so AVX-512F is
+            // present.
+            F64x8(unsafe { _mm512_abs_pd(self.0) })
+        }
+
+        #[inline(always)]
+        fn lt(self, y: Self) -> Mask8 {
+            cmp8::<_CMP_LT_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn le(self, y: Self) -> Mask8 {
+            cmp8::<_CMP_LE_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn gt(self, y: Self) -> Mask8 {
+            cmp8::<_CMP_GT_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn ge(self, y: Self) -> Mask8 {
+            cmp8::<_CMP_GE_OQ>(self, y)
+        }
+
+        #[inline(always)]
+        fn is_nan(self) -> Mask8 {
+            cmp8::<_CMP_UNORD_Q>(self, self)
+        }
+
+        #[inline(always)]
+        fn select(m: Mask8, t: Self, f: Self) -> Self {
+            // SAFETY: both values are AVX-512 lane values, so AVX-512F is
+            // present.
+            F64x8(unsafe { _mm512_mask_blend_pd(m.0, f.0, t.0) })
+        }
+
+        #[inline(always)]
+        fn min(self, y: Self) -> Self {
+            // `vminpd y, x` is `y < x ? y : x`, except that a NaN `x`
+            // must give `y`: blend that case back in.
+            let x_nan = self.is_nan();
+            // SAFETY: both operands are AVX-512 lane values, so AVX-512F
+            // is present.
+            F64x8::select(x_nan, y, F64x8(unsafe { _mm512_min_pd(y.0, self.0) }))
+        }
+
+        #[inline(always)]
+        fn max(self, y: Self) -> Self {
+            // SAFETY: both operands are AVX-512 lane values, so AVX-512F
+            // is present.
+            F64x8(unsafe { _mm512_max_pd(self.0, y.0) })
+        }
+
+        #[inline(always)]
+        fn neg_if(self, m: Mask8) -> Self {
+            flip_sign(self, m)
+        }
+    }
+
     #[target_feature(enable = "avx2")]
-    fn sum_block_avx2(
+    fn sum_chunks_avx2(
         isa: Avx2,
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SumRateSolution>,
-    ) {
-        sum_block_with::<F64x4>(isa, block, protocol, out);
+    ) -> usize {
+        sum_chunks::<F64x4>(isa, block, 0, protocol, out)
     }
 
     #[target_feature(enable = "avx2")]
-    fn mm_block_avx2(
+    fn mm_chunks_avx2(
         isa: Avx2,
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SchedulePoint>,
-    ) {
-        mm_block_with::<F64x4>(isa, block, protocol, out);
+    ) -> usize {
+        mm_chunks::<F64x4>(isa, block, 0, protocol, out)
     }
 
-    /// Runs the sum-rate block body on AVX2 lanes if the CPU supports
-    /// them; `false` means the caller should take the portable path.
-    pub(super) fn sum_block(
+    #[target_feature(enable = "avx512f,avx2")]
+    fn sum_chunks_avx512(
+        isa: Avx512,
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SumRateSolution>,
-    ) -> bool {
-        let Some(isa) = Avx2::detect() else {
-            return false;
-        };
-        // SAFETY: `isa` proves the CPU supports AVX2, the only feature
-        // `sum_block_avx2` enables.
-        unsafe { sum_block_avx2(isa, block, protocol, out) };
-        true
+    ) -> usize {
+        let from = sum_chunks::<F64x8>(isa, block, 0, protocol, out);
+        sum_chunks::<F64x4>(isa.avx2(), block, from, protocol, out)
     }
 
-    /// Runs the max–min block body on AVX2 lanes if the CPU supports
-    /// them; `false` means the caller should take the portable path.
-    pub(super) fn mm_block(
+    #[target_feature(enable = "avx512f,avx2")]
+    fn mm_chunks_avx512(
+        isa: Avx512,
         block: &PointBlock,
         protocol: Protocol,
         out: &mut Vec<SchedulePoint>,
-    ) -> bool {
-        let Some(isa) = Avx2::detect() else {
-            return false;
-        };
-        // SAFETY: `isa` proves the CPU supports AVX2, the only feature
-        // `mm_block_avx2` enables.
-        unsafe { mm_block_avx2(isa, block, protocol, out) };
-        true
-    }
-
-    /// The AVX2 token, if the CPU supports AVX2 (for the lane-op tests).
-    #[cfg(test)]
-    pub(super) fn avx2() -> Option<Avx2> {
-        Avx2::detect()
+    ) -> usize {
+        let from = mm_chunks::<F64x8>(isa, block, 0, protocol, out);
+        mm_chunks::<F64x4>(isa.avx2(), block, from, protocol, out)
     }
 }
 
 /// Records the per-block bookkeeping: `n` kernel-served solves, all of
-/// them batched, with their full-chunk share.
-fn finish_block(n: usize) {
+/// them batched, the first `tail` of them in vector chunks.
+fn finish_block(n: usize, tail: usize) {
     stats::record(&stats::KernelStats {
         kernel_hits: n as u64,
         batched_points: n as u64,
-        lanes_filled: (n - n % LANE) as u64,
+        lanes_filled: tail as u64,
     });
+}
+
+/// The lane instruction set the block kernels run on this host:
+/// `"avx512f"`, `"avx2"` or `"portable"`, picked at run time in that
+/// order of preference (see the module docs). Benchmark reports record it
+/// so that timings from different lane paths are not compared unawares.
+pub fn lane_isa() -> &'static str {
+    LanePath::detect().name()
 }
 
 /// Batched closed-form `max_sum_rate`: appends one solution per staged
 /// point (in block order) to `out`. Covers all four protocols; runs on
-/// AVX2 lanes when the CPU has them and is bit-identical to the scalar
-/// kernel either way.
+/// the widest vector lanes the CPU has (see [`lane_isa`]) and is
+/// bit-identical to the scalar kernel on every path.
 ///
 /// # Panics
 ///
@@ -1521,17 +1828,9 @@ pub fn max_sum_rate_block(block: &PointBlock, protocol: Protocol, out: &mut Vec<
         block.caps_ready,
         "PointBlock::compute_caps has not run since the last push"
     );
-    let n = block.len();
-    if n == 0 {
-        return;
+    if !block.is_empty() {
+        LanePath::detect().sum_block(block, protocol, out);
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd::sum_block(block, protocol, out) {
-        finish_block(n);
-        return;
-    }
-    sum_block_portable(block, protocol, out);
-    finish_block(n);
 }
 
 /// Batched closed-form `max_min_rate` for DT/MABC/TDBC: appends one
@@ -1555,17 +1854,9 @@ pub fn max_min_rate_block(
     if protocol == Protocol::Hbc {
         return false;
     }
-    let n = block.len();
-    if n == 0 {
-        return true;
+    if !block.is_empty() {
+        LanePath::detect().mm_block(block, protocol, out);
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd::mm_block(block, protocol, out) {
-        finish_block(n);
-        return true;
-    }
-    mm_block_portable(block, protocol, out);
-    finish_block(n);
     true
 }
 
@@ -1723,24 +2014,87 @@ mod tests {
             .collect()
     }
 
-    /// The fallback that hosts without AVX2 run, forced on this host and
-    /// compared with whatever path the dispatcher picks here.
+    /// Every block path this host can run, and the names of those it
+    /// cannot.
+    fn host_paths() -> (Vec<LanePath>, Vec<&'static str>) {
+        #[allow(unused_mut)]
+        let (mut have, mut lack) = (vec![LanePath::Portable], Vec::new());
+        #[cfg(target_arch = "x86_64")]
+        {
+            match simd::Avx2::detect() {
+                Some(isa) => have.push(LanePath::Avx2(isa)),
+                None => lack.push("avx2"),
+            }
+            match simd::Avx512::detect() {
+                Some(isa) => have.push(LanePath::Avx512(isa)),
+                None => lack.push("avx512f"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        lack.extend(["avx2", "avx512f"]);
+        (have, lack)
+    }
+
+    /// Every block path the host has, forced, against the dispatched
+    /// path and the width-1 scalar kernel, at block lengths 0..=17 (every
+    /// tail shape of 4- and 8-wide chunks) and 1024. A path the host
+    /// lacks is reported as skipped.
     #[test]
-    fn portable_block_path_is_bit_identical_to_dispatched() {
+    fn every_block_path_is_bit_identical_to_dispatched() {
+        let (paths, lacking) = host_paths();
+        for name in lacking {
+            eprintln!("skipped: this host has no {name} block path");
+        }
         let nets = varied();
-        let b = filled_block(&nets);
-        for proto in Protocol::ALL {
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            max_sum_rate_block(&b, proto, &mut want);
-            sum_block_portable(&b, proto, &mut got);
-            assert_eq!(sum_bits(&got), sum_bits(&want), "{proto} sum rate");
+        for n in (0..=17).chain([1024]) {
+            let b = filled_block(&nets.iter().cycle().take(n).cloned().collect::<Vec<_>>());
+            for proto in Protocol::ALL {
+                let mut want = Vec::new();
+                max_sum_rate_block(&b, proto, &mut want);
+                let scalar: Vec<_> = (0..n).map(|i| sum_rate_one(&b.caps(i), proto)).collect();
+                assert_eq!(
+                    sum_bits(&want),
+                    sum_bits(&scalar),
+                    "{proto} sum rate, n = {n}"
+                );
+                for path in &paths {
+                    let mut got = Vec::new();
+                    path.sum_block(&b, proto, &mut got);
+                    assert_eq!(
+                        sum_bits(&got),
+                        sum_bits(&want),
+                        "{proto} sum rate on {}, n = {n}",
+                        path.name()
+                    );
+                }
+            }
+            for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
+                let mut want = Vec::new();
+                assert!(max_min_rate_block(&b, proto, &mut want));
+                let scalar: Vec<_> = (0..n)
+                    .map(|i| max_min_one(&b.caps(i), proto).expect("closed form"))
+                    .collect();
+                assert_eq!(mm_bits(&want), mm_bits(&scalar), "{proto} max-min, n = {n}");
+                for path in &paths {
+                    let mut got = Vec::new();
+                    path.mm_block(&b, proto, &mut got);
+                    assert_eq!(
+                        mm_bits(&got),
+                        mm_bits(&want),
+                        "{proto} max-min on {}, n = {n}",
+                        path.name()
+                    );
+                }
+            }
         }
-        for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            assert!(max_min_rate_block(&b, proto, &mut want));
-            mm_block_portable(&b, proto, &mut got);
-            assert_eq!(mm_bits(&got), mm_bits(&want), "{proto} max-min");
-        }
+    }
+
+    #[test]
+    fn lane_isa_names_the_dispatched_path() {
+        let (paths, _) = host_paths();
+        let widest = paths.last().expect("portable is always there");
+        assert_eq!(lane_isa(), widest.name());
+        assert!(["avx512f", "avx2", "portable"].contains(&lane_isa()));
     }
 
     /// Every zero duration is +0.0 at every opt-level. `f64::max` lanes
@@ -1813,6 +2167,17 @@ mod tests {
                 &format!("clamp({x})"),
             );
         }
+        // `neg_if` under a mask set on alternate lanes: a sign-bit flip
+        // there (NaN included), the value untouched elsewhere.
+        let parity: [f64; MAX_WIDTH] = std::array::from_fn(|l| (l % 2) as f64);
+        let odd = L::load(isa, &parity).gt(L::splat(isa, 0.5));
+        for x in [0.0, -0.0, f64::NAN, -f64::NAN, 1.5] {
+            let got = lanes(L::splat(isa, x).neg_if(odd));
+            for (l, y) in got[..L::WIDTH].iter().enumerate() {
+                let want = if l % 2 == 1 { -x } else { x };
+                assert_eq!(y.to_bits(), want.to_bits(), "neg_if({x}), lane {l}");
+            }
+        }
     }
 
     #[test]
@@ -1820,9 +2185,69 @@ mod tests {
         lane_ops_hold::<Portable<1>>(());
         lane_ops_hold::<Portable<LANE>>(());
         #[cfg(target_arch = "x86_64")]
-        if let Some(isa) = simd::avx2() {
-            lane_ops_hold::<simd::F64x4>(isa);
+        match simd::Avx2::detect() {
+            Some(isa) => lane_ops_hold::<simd::F64x4>(isa),
+            None => eprintln!("skipped: this host has no avx2 lanes"),
         }
+        #[cfg(target_arch = "x86_64")]
+        match simd::Avx512::detect() {
+            Some(isa) => lane_ops_hold::<simd::F64x8>(isa),
+            None => eprintln!("skipped: this host has no avx512f lanes"),
+        }
+    }
+
+    /// Every capacity, scalar and block, equals its own
+    /// `awgn_capacity(p·g)` bit for bit, whether or not a power's bits
+    /// repeat another's (so its logarithm is shared).
+    #[test]
+    fn capacities_are_their_own_logs_on_every_split() {
+        use bcc_info::awgn_capacity;
+        let state = ChannelState::new(0.2, 1.0, 3.16);
+        let splits = [
+            PowerSplit::symmetric(10.0),
+            PowerSplit::new(1.0, 9.0, 5.0),
+            PowerSplit::new(4.0, 4.0, 2.0),
+            PowerSplit::new(4.0, 2.0, 4.0),
+            PowerSplit::new(2.0, 4.0, 4.0),
+            PowerSplit::new(0.0, -0.0, 0.0),
+            PowerSplit::new(-0.0, 0.0, -0.0),
+            PowerSplit::new(0.0, 0.0, -0.0),
+            PowerSplit::symmetric(-0.0),
+        ];
+        let mut b = PointBlock::new();
+        for p in &splits {
+            b.push(p, &state);
+        }
+        b.compute_caps();
+        for (i, p) in splits.iter().enumerate() {
+            let (pa, pb, pr) = (p.p_a(), p.p_b(), p.p_r());
+            let (gab, gar, gbr) = (state.gab(), state.gar(), state.gbr());
+            let want = [
+                awgn_capacity(pa * gab),
+                awgn_capacity(pb * gab),
+                awgn_capacity(pa * gar),
+                awgn_capacity(pb * gbr),
+                awgn_capacity(pr * gar),
+                awgn_capacity(pr * gbr),
+                awgn_capacity(pa * gar + pb * gbr),
+            ];
+            for caps in [LinkCaps::compute(p, &state), b.caps(i)] {
+                let got = [
+                    caps.c_a_ab,
+                    caps.c_b_ab,
+                    caps.c_a_ar,
+                    caps.c_b_br,
+                    caps.c_r_ar,
+                    caps.c_r_br,
+                    caps.c_mac,
+                ];
+                let (got, want) = (got.map(f64::to_bits), want.map(f64::to_bits));
+                assert_eq!(got, want, "split {i}: {p:?}");
+            }
+        }
+        let signed = LinkCaps::compute(&PowerSplit::new(0.0, -0.0, 0.0), &state);
+        assert_eq!(signed.c_b_ab.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(signed.c_r_br.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -70,15 +70,50 @@ pub struct LinkCaps {
 impl LinkCaps {
     /// Evaluates the seven capacities at one operating point.
     pub fn compute(powers: &PowerSplit, state: &ChannelState) -> Self {
-        let snr_ar = powers.p_a() * state.gar();
-        let snr_br = powers.p_b() * state.gbr();
+        Self::at(
+            [powers.p_a(), powers.p_b(), powers.p_r()],
+            [state.gab(), state.gar(), state.gbr()],
+        )
+    }
+
+    /// The seven capacities at powers `[p_a, p_b, p_r]` and gains
+    /// `[G_ab, G_ar, G_br]`, with one `log2(1 + x)` per distinct SNR.
+    ///
+    /// Two node powers with equal bits make equal SNR products on a
+    /// shared gain, so `c_b_ab` reuses `c_a_ab` when `p_b = p_a`, `c_r_ar`
+    /// reuses `c_a_ar` when `p_r = p_a`, and `c_r_br` reuses `c_b_br` when
+    /// `p_r = p_b`: the same bits for fewer logarithms (4 instead of 7 at
+    /// a symmetric split). The test is on bits, not `==`: +0.0 and −0.0
+    /// powers give capacities of different sign.
+    #[inline]
+    pub(crate) fn at([pa, pb, pr]: [f64; 3], [gab, gar, gbr]: [f64; 3]) -> Self {
+        let snr_ar = pa * gar;
+        let snr_br = pb * gbr;
+        let c_a_ab = awgn_capacity(pa * gab);
+        let c_b_ab = if pb.to_bits() == pa.to_bits() {
+            c_a_ab
+        } else {
+            awgn_capacity(pb * gab)
+        };
+        let c_a_ar = awgn_capacity(snr_ar);
+        let c_b_br = awgn_capacity(snr_br);
+        let c_r_ar = if pr.to_bits() == pa.to_bits() {
+            c_a_ar
+        } else {
+            awgn_capacity(pr * gar)
+        };
+        let c_r_br = if pr.to_bits() == pb.to_bits() {
+            c_b_br
+        } else {
+            awgn_capacity(pr * gbr)
+        };
         LinkCaps {
-            c_a_ab: awgn_capacity(powers.p_a() * state.gab()),
-            c_b_ab: awgn_capacity(powers.p_b() * state.gab()),
-            c_a_ar: awgn_capacity(snr_ar),
-            c_b_br: awgn_capacity(snr_br),
-            c_r_ar: awgn_capacity(powers.p_r() * state.gar()),
-            c_r_br: awgn_capacity(powers.p_r() * state.gbr()),
+            c_a_ab,
+            c_b_ab,
+            c_a_ar,
+            c_b_br,
+            c_r_ar,
+            c_r_br,
             c_mac: mac_sum_capacity(snr_ar, snr_br),
         }
     }

@@ -43,9 +43,9 @@
 //! ```
 
 // `unsafe` is denied crate-wide. The one exception is `batch::simd`,
-// which allows it for the AVX2 intrinsics and the calls into its
-// `#[target_feature(enable = "avx2")]` block bodies, both reachable only
-// after runtime AVX2 detection.
+// which allows it for the AVX2 and AVX-512 intrinsics and the calls into
+// its `#[target_feature]` block bodies, all reachable only after runtime
+// detection of the features they use.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

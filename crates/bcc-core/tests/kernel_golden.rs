@@ -18,8 +18,8 @@
 //! The hashes were recorded from an optimised (release) build. The lane
 //! bodies spell out every `min`/`max`/`clamp` as explicit compares and
 //! selects, and so do the simplex's clamps, so the same bits must come
-//! out at every opt-level and on both the AVX2 and the portable lane
-//! path; CI runs this suite in debug and in release.
+//! out at every opt-level and on every lane path (AVX-512, AVX2 and
+//! portable); CI runs this suite in debug and in release.
 
 use bcc_channel::fading::FadingModel;
 use bcc_channel::{ChannelState, PowerSplit};
