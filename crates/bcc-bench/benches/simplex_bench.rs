@@ -122,7 +122,6 @@ fn bench_block_vs_scalar(c: &mut Criterion) {
     // buys the blocked sweep paths per grid point. Output is bit-identical
     // either way (pinned by the batch_differential suite); only the
     // instruction mix differs.
-    use bcc_core::batch::{self, PointBlock};
     use bcc_core::kernel;
     use bcc_core::prelude::*;
 
@@ -145,11 +144,13 @@ fn bench_block_vs_scalar(c: &mut Criterion) {
     for proto in Protocol::ALL {
         let name = format!("{proto:?}").to_lowercase();
         group.bench_with_input(BenchmarkId::new("block", &name), &proto, |b, &proto| {
+            let mut ctx = SolveCtx::new();
             let mut sums = Vec::with_capacity(nets.len());
             b.iter(|| {
                 sums.clear();
-                batch::max_sum_rate_block(&block, proto, &mut sums);
-                black_box(sums.last().unwrap().sum_rate)
+                ctx.solve_block(&block, SolveRequest::sum_rate(proto), &mut sums)
+                    .unwrap();
+                black_box(sums.last().unwrap().value)
             })
         });
         group.bench_with_input(

@@ -14,6 +14,22 @@
 //! instead of data-dependent branches, and every candidate ray emitted
 //! with constant indices instead of looped over a stack array.
 //!
+//! # One answer path
+//!
+//! Every closed form writes the same record, a [`SolveOutcome`]: a lane
+//! body returns the value, `ra`, `rb` and the durations per lane, and
+//! the runner appends them straight into the caller's outcome column.
+//! One private `(objective, protocol) → lane body` table names the body
+//! of each request the closed forms answer — sum rate for all four
+//! protocols, max–min for DT, MABC and TDBC — and leaves HBC max–min to
+//! the simplex. The block chunk runner and the width-1 scalar solve both
+//! expand it, matching once per call outside any loop, so a new closed
+//! form is one table arm plus
+//! [`SolveRequest::is_batchable`](crate::kernel::SolveRequest::is_batchable).
+//! Callers reach it through
+//! [`SolveCtx::solve_block`](crate::kernel::SolveCtx::solve_block) and
+//! [`SolveCtx::solve_one`](crate::kernel::SolveCtx::solve_one).
+//!
 //! # Lane ops
 //!
 //! Every kernel body is written once, generic over a private `Lane`
@@ -56,7 +72,8 @@
 //! # Lane layout and the tail
 //!
 //! A block runs its points front to back in vector chunks and finishes
-//! with a width-1 tail through the *same* generic lane body:
+//! with a width-1 tail through the *same* chunk runner and lane body,
+//! reading the block's own lanes:
 //!
 //! * AVX-512: full 8-wide chunks, then one 4-wide AVX2 chunk if at least
 //!   four points remain, then at most three width-1 points;
@@ -88,11 +105,11 @@
 //! # `unsafe`
 //!
 //! All of the crate's `unsafe` lives in the private `simd` module: the
-//! AVX2 and AVX-512 intrinsics, and the calls into its
-//! `#[target_feature]` block bodies. A vector lane value can only be
-//! built from its ISA token (or from other lane values of its type), and
-//! each token's only constructor is the runtime detection, so every
-//! intrinsic runs on a CPU that has it.
+//! AVX2 and AVX-512 intrinsics, and the calls into its two
+//! `#[target_feature]` block bodies (one per vector path). A vector lane
+//! value can only be built from its ISA token (or from other lane values
+//! of its type), and each token's only constructor is the runtime
+//! detection, so every intrinsic runs on a CPU that has it.
 //!
 //! # Counters
 //!
@@ -106,8 +123,8 @@
 
 use crate::bounds::LinkCaps;
 use crate::constraint::PhaseVec;
-use crate::gaussian::{GaussianNetwork, SumRateSolution};
-use crate::optimizer::SchedulePoint;
+use crate::gaussian::GaussianNetwork;
+use crate::kernel::{Objective, SolveOutcome};
 use crate::protocol::Protocol;
 use bcc_channel::{ChannelState, PowerSplit};
 use std::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Sub};
@@ -168,8 +185,8 @@ pub mod stats {
 /// Blocks are plain buffers: build one with [`PointBlock::with_capacity`],
 /// [`push`](PointBlock::push) points into it (or whole networks with
 /// [`push_net`](PointBlock::push_net)), compute the capacity lanes once,
-/// and hand it to the block kernels ([`max_sum_rate_block`],
-/// [`max_min_rate_block`]) or to `SolveCtx::solve_block`.
+/// and hand it to [`SolveCtx::solve_block`](crate::kernel::SolveCtx::solve_block),
+/// the one public block entry point.
 /// [`clear`](PointBlock::clear) keeps the lane storage, so a per-worker
 /// block allocates only while growing to its high-water mark.
 ///
@@ -554,16 +571,6 @@ fn phase_lanes<L: Lane, const P: usize>(d: [L; P]) -> [[f64; P]; MAX_WIDTH] {
     out
 }
 
-/// The durations of a width-1 answer.
-#[inline(always)]
-fn first_lanes<const P: usize>(d: [Portable<1>; P]) -> PhaseVec {
-    let mut out = [0.0; P];
-    for (o, x) in out.iter_mut().zip(d) {
-        *o = x.0[0];
-    }
-    PhaseVec::from(out)
-}
-
 /// The seven capacity lanes of one chunk.
 struct CapsLanes<L> {
     c_a_ab: L,
@@ -605,79 +612,56 @@ impl CapsLanes<Portable<1>> {
     }
 }
 
-/// A sum-rate answer per lane: rate, `ra`, `rb` and the `P` phase
-/// durations.
-struct SumLanes<L, const P: usize> {
-    rate: L,
+/// A closed-form answer per lane: the objective value, `ra`, `rb` and the
+/// `P` phase durations.
+struct AnswerLanes<L, const P: usize> {
+    value: L,
     ra: L,
     rb: L,
     d: [L; P],
 }
 
-impl<L: Lane, const P: usize> SumLanes<L, P> {
-    /// Appends one solution per lane.
+impl<L: Lane, const P: usize> AnswerLanes<L, P> {
+    /// A max–min answer: the symmetric rate `t` is the value and both
+    /// rates.
     #[inline(always)]
-    fn push(self, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
-        let (rate, ra, rb) = (lanes(self.rate), lanes(self.ra), lanes(self.rb));
+    fn symmetric(t: L, d: [L; P]) -> Self {
+        AnswerLanes {
+            value: t,
+            ra: t,
+            rb: t,
+            d,
+        }
+    }
+
+    /// Appends one outcome per lane.
+    #[inline(always)]
+    fn push(self, objective: Objective, protocol: Protocol, out: &mut Vec<SolveOutcome>) {
+        let (value, ra, rb) = (lanes(self.value), lanes(self.ra), lanes(self.rb));
         let d = phase_lanes(self.d);
         for l in 0..L::WIDTH {
-            out.push(SumRateSolution {
+            out.push(SolveOutcome {
                 protocol,
-                sum_rate: rate[l],
+                objective,
                 ra: ra[l],
                 rb: rb[l],
                 durations: PhaseVec::from(d[l]),
+                value: value[l],
             });
         }
     }
 }
 
-impl<const P: usize> SumLanes<Portable<1>, P> {
+impl<const P: usize> AnswerLanes<Portable<1>, P> {
     #[inline(always)]
-    fn one(self, protocol: Protocol) -> SumRateSolution {
-        SumRateSolution {
+    fn one(self, objective: Objective, protocol: Protocol) -> SolveOutcome {
+        SolveOutcome {
             protocol,
-            sum_rate: self.rate.0[0],
+            objective,
             ra: self.ra.0[0],
             rb: self.rb.0[0],
-            durations: first_lanes(self.d),
-        }
-    }
-}
-
-/// A max–min answer per lane: the symmetric rate `t` and the `P` phase
-/// durations.
-struct MmLanes<L, const P: usize> {
-    t: L,
-    d: [L; P],
-}
-
-impl<L: Lane, const P: usize> MmLanes<L, P> {
-    /// Appends one schedule point per lane.
-    #[inline(always)]
-    fn push(self, out: &mut Vec<SchedulePoint>) {
-        let t = lanes(self.t);
-        let d = phase_lanes(self.d);
-        for l in 0..L::WIDTH {
-            out.push(SchedulePoint {
-                ra: t[l],
-                rb: t[l],
-                durations: PhaseVec::from(d[l]),
-                objective: t[l],
-            });
-        }
-    }
-}
-
-impl<const P: usize> MmLanes<Portable<1>, P> {
-    #[inline(always)]
-    fn one(self) -> SchedulePoint {
-        let t = self.t.0[0];
-        SchedulePoint {
-            ra: t,
-            rb: t,
-            durations: first_lanes(self.d),
-            objective: t,
+            durations: PhaseVec::from(self.d.map(|x| x.0[0])),
+            value: self.value.0[0],
         }
     }
 }
@@ -779,13 +763,13 @@ fn cross3<L: Lane>(a: &[L; 3], b: &[L; 3]) -> [L; 3] {
 /// DT sum rate: the objective is linear in the split, so all time goes
 /// to the stronger direction.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn dt_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 2> {
+fn dt_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 2> {
     let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
     let (ca, cb) = (c.c_a_ab, c.c_b_ab);
     let m = ca.ge(cb);
     let d0 = L::select(m, one, z);
-    SumLanes {
-        rate: L::select(m, ca, cb),
+    AnswerLanes {
+        value: L::select(m, ca, cb),
         ra: L::select(m, ca, z),
         rb: L::select(m, z, cb),
         d: [d0, one - d0],
@@ -810,7 +794,7 @@ fn mabc_f<L: Lane>(one: L, d: L, a1: L, a2: L, b1: L, b2: L, s: L) -> L {
 /// clamped into `[0, 1]` re-evaluate an endpoint exactly, so extras are
 /// harmless.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn mabc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 2> {
+fn mabc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 2> {
     let (a1, a2) = (c.c_a_ar, c.c_r_br);
     let (b1, b2) = (c.c_b_br, c.c_r_ar);
     let s = c.c_mac;
@@ -840,8 +824,8 @@ fn mabc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 2> {
     // give R_a the remainder (deterministic feasible split).
     let over = (ra0 + rb0).gt(cap);
     let rbx = rb0.min(cap);
-    SumLanes {
-        rate: bf,
+    AnswerLanes {
+        value: bf,
         ra: L::select(over, cap - rbx, ra0),
         rb: L::select(over, rbx, rb0),
         d: [bd, one - bd],
@@ -875,7 +859,7 @@ impl RayValue<3> for TdbcSum {
 /// tournament over the 10 pairwise intersections of the three facets
 /// and the two `min`-kink planes.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn tdbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 3> {
+fn tdbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 3> {
     let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
     let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
     let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
@@ -900,8 +884,8 @@ fn tdbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 3> {
     let d = best.point(isa);
     let (u, v) = tdbc_terms(c, &d);
     let (u, v) = (u.max(z), v.max(z));
-    SumLanes {
-        rate: u + v,
+    AnswerLanes {
+        value: u + v,
         ra: u,
         rb: v,
         d,
@@ -1015,7 +999,7 @@ fn null4<L: Lane>(p: &[L; 4], q: &[L; 4], r: &[L; 4]) -> [L; 4] {
 /// edge or facet rays repeat corners `e₀` or `e₁`, but a later duplicate
 /// can still win by one rounding and so change the duration bits.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn hbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 4> {
+fn hbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 4> {
     let (a1, a2, a3) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
     let (b1, b2, b3) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
     let s = c.c_mac;
@@ -1074,8 +1058,8 @@ fn hbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 4> {
     // R_a the remainder (the MABC kernel's convention).
     let direct = (u + v).le(w);
     let rbx = v.min(w);
-    SumLanes {
-        rate: (u + v).min(w),
+    AnswerLanes {
+        value: (u + v).min(w),
         ra: L::select(direct, u, w - rbx),
         rb: L::select(direct, v, rbx),
         d,
@@ -1088,15 +1072,13 @@ fn hbc_sum_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> SumLanes<L, 4> {
 
 /// DT max–min: both direct-link lines bind at the optimum.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn dt_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
+fn dt_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 2> {
     let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
     let (ca, cb) = (c.c_a_ab, c.c_b_ab);
     let dead = ca.le(z) | cb.le(z);
     let d0 = L::select(dead, L::splat(isa, 0.5), cb / (ca + cb));
-    MmLanes {
-        t: L::select(dead, z, ca * cb / (ca + cb)),
-        d: [d0, one - d0],
-    }
+    let t = L::select(dead, z, ca * cb / (ca + cb));
+    AnswerLanes::symmetric(t, [d0, one - d0])
 }
 
 /// MABC max–min: `t ≤ mA(Δ)`, `t ≤ mB(Δ)`, `2t ≤ Δ·s` — the maximum of
@@ -1105,7 +1087,7 @@ fn dt_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
 /// `Cands` list, so out-of-range and degenerate crossings are rejected
 /// and the first-found maximum resolves ties identically.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn mabc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
+fn mabc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 2> {
     let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
     // The five lines `p·Δ + q·(1 − Δ)`.
     let p = [c.c_a_ar, z, c.c_b_br, z, L::splat(isa, 0.5) * c.c_mac];
@@ -1143,10 +1125,7 @@ fn mabc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 2> {
     offer!(z);
     offer!(one);
     each_pair!(crossing: 0 1 2 3 4);
-    MmLanes {
-        t: bv.max(z),
-        d: [bd, one - bd],
-    }
+    AnswerLanes::symmetric(bv.max(z), [bd, one - bd])
 }
 
 /// TDBC symmetric rate: the min of the four rate lines.
@@ -1168,7 +1147,7 @@ impl RayValue<3> for TdbcMaxMin {
 /// six pairwise ties of the four rate lines), 36 pairwise candidates
 /// through the homogeneous tournament.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn tdbc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 3> {
+fn tdbc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> AnswerLanes<L, 3> {
     let (alpha, beta, gamma) = (c.c_a_ar, c.c_a_ab, c.c_r_br);
     let (delta, eps, zeta) = (c.c_b_br, c.c_b_ab, c.c_r_ar);
     let (z, one) = (L::splat(isa, 0.0), L::splat(isa, 1.0));
@@ -1195,95 +1174,81 @@ fn tdbc_mm_lanes<L: Lane>(isa: L::Isa, c: &CapsLanes<L>) -> MmLanes<L, 3> {
     }
     each_pair!(pair: 0 1 2 3 4 5 6 7 8);
     let d = best.point(isa);
-    MmLanes {
-        t: TdbcMaxMin::value(c, &d).max(z),
-        d,
-    }
+    AnswerLanes::symmetric(TdbcMaxMin::value(c, &d).max(z), d)
 }
 
 // ---------------------------------------------------------------------------
-// Scalar entry points (width-1 instantiations — the kernel's closed forms)
+// The lane-body table and its runners
 // ---------------------------------------------------------------------------
 
-/// Closed-form sum rate of one point from its capacity bundle: the
-/// width-1 instantiation of the lane kernels (bit-identical to the
-/// block path by construction).
-pub(crate) fn sum_rate_one(caps: &LinkCaps, protocol: Protocol) -> SumRateSolution {
-    let c = CapsLanes::from_caps(caps);
-    match protocol {
-        Protocol::DirectTransmission => dt_sum_lanes((), &c).one(protocol),
-        Protocol::Mabc => mabc_sum_lanes((), &c).one(protocol),
-        Protocol::Tdbc => tdbc_sum_lanes((), &c).one(protocol),
-        Protocol::Hbc => hbc_sum_lanes((), &c).one(protocol),
-    }
-}
-
-/// Closed-form max–min point of one point from its capacity bundle
-/// (`None` for HBC — its four-phase max–min stays on the simplex).
-pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
-    let c = CapsLanes::from_caps(caps);
-    Some(match protocol {
-        Protocol::DirectTransmission => dt_mm_lanes((), &c).one(),
-        Protocol::Mabc => mabc_mm_lanes((), &c).one(),
-        Protocol::Tdbc => tdbc_mm_lanes((), &c).one(),
-        Protocol::Hbc => return None,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Block drivers
-// ---------------------------------------------------------------------------
-
-/// Runs lane body `$body` over the block's full `$L`-wide chunks from
-/// index `$from` on, handing each chunk's answer to `.push($args)`;
-/// evaluates to the index where the chunks stop.
-macro_rules! chunks {
-    ($L:ty, $isa:expr, $block:expr, $from:expr, $body:ident.push($($arg:expr),*)) => {{
-        let w = <$L as Lane>::WIDTH;
-        let end = $from + ($block.len() - $from) / w * w;
-        for i in ($from..end).step_by(w) {
-            $body::<$L>($isa, &CapsLanes::load($isa, $block, i)).push($($arg),*);
+/// The one `(objective, protocol) → lane body` table: evaluates to
+/// `Some($run!(body))` with the lane body that answers the request in
+/// closed form, or to `None` for a request the closed forms leave to the
+/// simplex. `solve_one` and `chunks` expand it, each matching once per
+/// call, outside any loop.
+macro_rules! lane_table {
+    ($objective:expr, $protocol:expr, $run:ident) => {
+        match ($objective, $protocol) {
+            (Objective::SumRate, Protocol::DirectTransmission) => Some($run!(dt_sum_lanes)),
+            (Objective::SumRate, Protocol::Mabc) => Some($run!(mabc_sum_lanes)),
+            (Objective::SumRate, Protocol::Tdbc) => Some($run!(tdbc_sum_lanes)),
+            (Objective::SumRate, Protocol::Hbc) => Some($run!(hbc_sum_lanes)),
+            (Objective::MaxMin, Protocol::DirectTransmission) => Some($run!(dt_mm_lanes)),
+            (Objective::MaxMin, Protocol::Mabc) => Some($run!(mabc_mm_lanes)),
+            (Objective::MaxMin, Protocol::Tdbc) => Some($run!(tdbc_mm_lanes)),
+            // HBC's four-phase max–min has no closed form yet (see
+            // `SolveRequest::is_batchable`).
+            (Objective::MaxMin, Protocol::Hbc) => None,
         }
-        end
-    }};
+    };
 }
 
-/// The sum-rate lane body over full `L`-wide chunks of the block from
-/// point `from` on; returns the index where the chunks stop.
+/// The closed-form answer at one point from its capacity bundle: the
+/// width-1 instantiation of the lane body, so it is bit-identical to the
+/// block path by construction. Records one kernel hit; `None` (and no
+/// hit) for a request without a closed form.
+pub(crate) fn solve_one(
+    caps: &LinkCaps,
+    objective: Objective,
+    protocol: Protocol,
+) -> Option<SolveOutcome> {
+    let c = CapsLanes::from_caps(caps);
+    macro_rules! one {
+        ($body:ident) => {
+            $body::<Portable<1>>((), &c).one(objective, protocol)
+        };
+    }
+    let outcome = lane_table!(objective, protocol, one)?;
+    stats::record(&stats::KernelStats {
+        kernel_hits: 1,
+        ..stats::KernelStats::zero()
+    });
+    Some(outcome)
+}
+
+/// Runs the lane body of `(objective, protocol)` over the block's full
+/// `L`-wide chunks from point `from` on, appending one outcome per point
+/// to `out`. Returns the index where the chunks stop, or `None` (leaving
+/// `out` alone) for a request without a closed form.
 #[inline(always)]
-fn sum_chunks<L: Lane>(
+fn chunks<L: Lane>(
     isa: L::Isa,
     block: &PointBlock,
     from: usize,
+    objective: Objective,
     protocol: Protocol,
-    out: &mut Vec<SumRateSolution>,
-) -> usize {
-    match protocol {
-        Protocol::DirectTransmission => {
-            chunks!(L, isa, block, from, dt_sum_lanes.push(protocol, out))
-        }
-        Protocol::Mabc => chunks!(L, isa, block, from, mabc_sum_lanes.push(protocol, out)),
-        Protocol::Tdbc => chunks!(L, isa, block, from, tdbc_sum_lanes.push(protocol, out)),
-        Protocol::Hbc => chunks!(L, isa, block, from, hbc_sum_lanes.push(protocol, out)),
+    out: &mut Vec<SolveOutcome>,
+) -> Option<usize> {
+    let end = from + (block.len() - from) / L::WIDTH * L::WIDTH;
+    macro_rules! run {
+        ($body:ident) => {{
+            for i in (from..end).step_by(L::WIDTH) {
+                $body::<L>(isa, &CapsLanes::load(isa, block, i)).push(objective, protocol, out);
+            }
+            end
+        }};
     }
-}
-
-/// The max–min lane body (DT/MABC/TDBC) over full `L`-wide chunks of the
-/// block from point `from` on; returns the index where the chunks stop.
-#[inline(always)]
-fn mm_chunks<L: Lane>(
-    isa: L::Isa,
-    block: &PointBlock,
-    from: usize,
-    protocol: Protocol,
-    out: &mut Vec<SchedulePoint>,
-) -> usize {
-    match protocol {
-        Protocol::DirectTransmission => chunks!(L, isa, block, from, dt_mm_lanes.push(out)),
-        Protocol::Mabc => chunks!(L, isa, block, from, mabc_mm_lanes.push(out)),
-        Protocol::Tdbc => chunks!(L, isa, block, from, tdbc_mm_lanes.push(out)),
-        Protocol::Hbc => unreachable!("HBC max-min has no closed form"),
-    }
+    lane_table!(objective, protocol, run)
 }
 
 /// The vector lanes a block kernel runs on: holding a variant proves the
@@ -1327,38 +1292,30 @@ impl LanePath {
         }
     }
 
-    /// The whole-block sum rate on this path: its vector chunks, then a
-    /// tail through [`sum_rate_one`] (the same lane bodies at width 1).
-    fn sum_block(self, block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
-        out.reserve(block.len());
+    /// The whole-block closed form of `(objective, protocol)` on this
+    /// path: its vector chunks, then the width-1 tail through the same
+    /// chunk runner. Returns `false`, leaving `out` alone, for a request
+    /// without a closed form.
+    fn run(
+        self,
+        block: &PointBlock,
+        objective: Objective,
+        protocol: Protocol,
+        out: &mut Vec<SolveOutcome>,
+    ) -> bool {
         let tail = match self {
-            LanePath::Portable => sum_chunks::<Portable<LANE>>((), block, 0, protocol, out),
+            LanePath::Portable => chunks::<Portable<LANE>>((), block, 0, objective, protocol, out),
             #[cfg(target_arch = "x86_64")]
-            LanePath::Avx2(isa) => isa.sum_chunks(block, protocol, out),
+            LanePath::Avx2(isa) => isa.run(block, objective, protocol, out),
             #[cfg(target_arch = "x86_64")]
-            LanePath::Avx512(isa) => isa.sum_chunks(block, protocol, out),
+            LanePath::Avx512(isa) => isa.run(block, objective, protocol, out),
         };
-        for i in tail..block.len() {
-            out.push(sum_rate_one(&block.caps(i), protocol));
-        }
-        finish_block(block.len(), tail);
-    }
-
-    /// The whole-block max–min (DT/MABC/TDBC) on this path: its vector
-    /// chunks, then a tail through [`max_min_one`].
-    fn mm_block(self, block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
-        out.reserve(block.len());
-        let tail = match self {
-            LanePath::Portable => mm_chunks::<Portable<LANE>>((), block, 0, protocol, out),
-            #[cfg(target_arch = "x86_64")]
-            LanePath::Avx2(isa) => isa.mm_chunks(block, protocol, out),
-            #[cfg(target_arch = "x86_64")]
-            LanePath::Avx512(isa) => isa.mm_chunks(block, protocol, out),
+        let Some(tail) = tail else {
+            return false;
         };
-        for i in tail..block.len() {
-            out.push(max_min_one(&block.caps(i), protocol).expect("closed form"));
-        }
+        chunks::<Portable<1>>((), block, tail, objective, protocol, out);
         finish_block(block.len(), tail);
+        true
     }
 }
 
@@ -1367,9 +1324,7 @@ impl LanePath {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    use super::{mm_chunks, sum_chunks, Lane, PointBlock, Protocol};
-    use crate::gaussian::SumRateSolution;
-    use crate::optimizer::SchedulePoint;
+    use super::{chunks, Lane, Objective, PointBlock, Protocol, SolveOutcome};
     use std::arch::x86_64::{
         __m256d, __m512d, __mmask8, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd,
         _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_max_pd,
@@ -1393,30 +1348,18 @@ mod simd {
             std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
         }
 
-        /// The sum-rate block body on `F64x4` lanes; returns where the
-        /// width-1 tail starts.
-        pub(super) fn sum_chunks(
+        /// The closed form on `F64x4` lanes; returns where the width-1
+        /// tail starts (`None` without a closed form).
+        pub(super) fn run(
             self,
             block: &PointBlock,
+            objective: Objective,
             protocol: Protocol,
-            out: &mut Vec<SumRateSolution>,
-        ) -> usize {
+            out: &mut Vec<SolveOutcome>,
+        ) -> Option<usize> {
             // SAFETY: `self` proves the CPU supports AVX2, the only
-            // feature `sum_chunks_avx2` enables.
-            unsafe { sum_chunks_avx2(self, block, protocol, out) }
-        }
-
-        /// The max–min block body on `F64x4` lanes; returns where the
-        /// width-1 tail starts.
-        pub(super) fn mm_chunks(
-            self,
-            block: &PointBlock,
-            protocol: Protocol,
-            out: &mut Vec<SchedulePoint>,
-        ) -> usize {
-            // SAFETY: `self` proves the CPU supports AVX2, the only
-            // feature `mm_chunks_avx2` enables.
-            unsafe { mm_chunks_avx2(self, block, protocol, out) }
+            // feature `run_avx2` enables.
+            unsafe { run_avx2(self, block, objective, protocol, out) }
         }
     }
 
@@ -1437,30 +1380,19 @@ mod simd {
             Avx2(())
         }
 
-        /// The sum-rate block body on `F64x8` lanes, then at most one
-        /// `F64x4` chunk; returns where the width-1 tail starts.
-        pub(super) fn sum_chunks(
+        /// The closed form on `F64x8` lanes, then at most one `F64x4`
+        /// chunk; returns where the width-1 tail starts (`None` without a
+        /// closed form).
+        pub(super) fn run(
             self,
             block: &PointBlock,
+            objective: Objective,
             protocol: Protocol,
-            out: &mut Vec<SumRateSolution>,
-        ) -> usize {
+            out: &mut Vec<SolveOutcome>,
+        ) -> Option<usize> {
             // SAFETY: `self` proves the CPU supports AVX-512F and AVX2,
-            // the features `sum_chunks_avx512` enables.
-            unsafe { sum_chunks_avx512(self, block, protocol, out) }
-        }
-
-        /// The max–min block body on `F64x8` lanes, then at most one
-        /// `F64x4` chunk; returns where the width-1 tail starts.
-        pub(super) fn mm_chunks(
-            self,
-            block: &PointBlock,
-            protocol: Protocol,
-            out: &mut Vec<SchedulePoint>,
-        ) -> usize {
-            // SAFETY: `self` proves the CPU supports AVX-512F and AVX2,
-            // the features `mm_chunks_avx512` enables.
-            unsafe { mm_chunks_avx512(self, block, protocol, out) }
+            // the features `run_avx512` enables.
+            unsafe { run_avx512(self, block, objective, protocol, out) }
         }
     }
 
@@ -1754,45 +1686,26 @@ mod simd {
     }
 
     #[target_feature(enable = "avx2")]
-    fn sum_chunks_avx2(
+    fn run_avx2(
         isa: Avx2,
         block: &PointBlock,
+        objective: Objective,
         protocol: Protocol,
-        out: &mut Vec<SumRateSolution>,
-    ) -> usize {
-        sum_chunks::<F64x4>(isa, block, 0, protocol, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn mm_chunks_avx2(
-        isa: Avx2,
-        block: &PointBlock,
-        protocol: Protocol,
-        out: &mut Vec<SchedulePoint>,
-    ) -> usize {
-        mm_chunks::<F64x4>(isa, block, 0, protocol, out)
+        out: &mut Vec<SolveOutcome>,
+    ) -> Option<usize> {
+        chunks::<F64x4>(isa, block, 0, objective, protocol, out)
     }
 
     #[target_feature(enable = "avx512f,avx2")]
-    fn sum_chunks_avx512(
+    fn run_avx512(
         isa: Avx512,
         block: &PointBlock,
+        objective: Objective,
         protocol: Protocol,
-        out: &mut Vec<SumRateSolution>,
-    ) -> usize {
-        let from = sum_chunks::<F64x8>(isa, block, 0, protocol, out);
-        sum_chunks::<F64x4>(isa.avx2(), block, from, protocol, out)
-    }
-
-    #[target_feature(enable = "avx512f,avx2")]
-    fn mm_chunks_avx512(
-        isa: Avx512,
-        block: &PointBlock,
-        protocol: Protocol,
-        out: &mut Vec<SchedulePoint>,
-    ) -> usize {
-        let from = mm_chunks::<F64x8>(isa, block, 0, protocol, out);
-        mm_chunks::<F64x4>(isa.avx2(), block, from, protocol, out)
+        out: &mut Vec<SolveOutcome>,
+    ) -> Option<usize> {
+        let from = chunks::<F64x8>(isa, block, 0, objective, protocol, out)?;
+        chunks::<F64x4>(isa.avx2(), block, from, objective, protocol, out)
     }
 }
 
@@ -1814,56 +1727,32 @@ pub fn lane_isa() -> &'static str {
     LanePath::detect().name()
 }
 
-/// Batched closed-form `max_sum_rate`: appends one solution per staged
-/// point (in block order) to `out`. Covers all four protocols; runs on
-/// the widest vector lanes the CPU has (see [`lane_isa`]) and is
-/// bit-identical to the scalar kernel on every path.
+/// The closed form of `(objective, protocol)` at every point of the
+/// block, appended to `out` in block order, on the widest lanes this host
+/// has (see [`lane_isa`]). Returns `false`, leaving `out` alone, for a
+/// request without a closed form.
 ///
 /// # Panics
 ///
 /// Panics if [`PointBlock::compute_caps`] has not run since the last
 /// push.
-pub fn max_sum_rate_block(block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateSolution>) {
-    assert!(
-        block.caps_ready,
-        "PointBlock::compute_caps has not run since the last push"
-    );
-    if !block.is_empty() {
-        LanePath::detect().sum_block(block, protocol, out);
-    }
-}
-
-/// Batched closed-form `max_min_rate` for DT/MABC/TDBC: appends one
-/// schedule point per staged point to `out` and returns `true`. For HBC
-/// — whose four-phase max–min stays on the simplex — returns `false`
-/// without touching `out`.
-///
-/// # Panics
-///
-/// Panics if [`PointBlock::compute_caps`] has not run since the last
-/// push.
-pub fn max_min_rate_block(
+pub(crate) fn solve_block(
     block: &PointBlock,
+    objective: Objective,
     protocol: Protocol,
-    out: &mut Vec<SchedulePoint>,
+    out: &mut Vec<SolveOutcome>,
 ) -> bool {
     assert!(
         block.caps_ready,
         "PointBlock::compute_caps has not run since the last push"
     );
-    if protocol == Protocol::Hbc {
-        return false;
-    }
-    if !block.is_empty() {
-        LanePath::detect().mm_block(block, protocol, out);
-    }
-    true
+    LanePath::detect().run(block, objective, protocol, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel;
+    use crate::kernel::{self, SolveCtx, SolveRequest};
 
     /// A 13-point grid (3 full lanes + scalar tail) spanning symmetric,
     /// lopsided and degenerate channels.
@@ -1914,13 +1803,15 @@ mod tests {
         let b = filled_block(&nets);
         for proto in Protocol::ALL {
             let mut out = Vec::new();
-            max_sum_rate_block(&b, proto, &mut out);
+            SolveCtx::new()
+                .solve_block(&b, SolveRequest::sum_rate(proto), &mut out)
+                .unwrap();
             assert_eq!(out.len(), nets.len());
             for (i, net) in nets.iter().enumerate() {
                 let scalar = kernel::max_sum_rate(net, proto);
                 let batch = &out[i];
                 assert_eq!(
-                    batch.sum_rate.to_bits(),
+                    batch.value.to_bits(),
                     scalar.sum_rate.to_bits(),
                     "{proto} rate {i}"
                 );
@@ -1940,12 +1831,15 @@ mod tests {
         let b = filled_block(&nets);
         for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
             let mut out = Vec::new();
-            assert!(max_min_rate_block(&b, proto, &mut out));
+            SolveCtx::new()
+                .solve_block(&b, SolveRequest::max_min(proto), &mut out)
+                .unwrap();
+            assert_eq!(out.len(), nets.len());
             for (i, net) in nets.iter().enumerate() {
                 let scalar = kernel::max_min_rate(net, proto).expect("covered");
                 let batch = &out[i];
                 assert_eq!(
-                    batch.objective.to_bits(),
+                    batch.value.to_bits(),
                     scalar.objective.to_bits(),
                     "{proto} t {i}"
                 );
@@ -1954,8 +1848,9 @@ mod tests {
                 }
             }
         }
+        assert!(kernel::max_min_rate(&nets[0], Protocol::Hbc).is_none());
         let mut out = Vec::new();
-        assert!(!max_min_rate_block(&b, Protocol::Hbc, &mut out));
+        assert!(!solve_block(&b, Objective::MaxMin, Protocol::Hbc, &mut out));
         assert!(out.is_empty());
     }
 
@@ -1988,30 +1883,49 @@ mod tests {
         nets
     }
 
-    /// Every output bit of a sum-rate block, per point.
-    fn sum_bits(out: &[SumRateSolution]) -> Vec<Vec<u64>> {
+    /// Every output bit of an outcome column, per point.
+    fn outcome_bits(out: &[SolveOutcome]) -> Vec<Vec<u64>> {
         out.iter()
-            .map(|s| {
-                let head = [s.sum_rate, s.ra, s.rb];
+            .map(|o| {
+                let head = [o.value, o.ra, o.rb];
                 head.iter()
-                    .chain(s.durations.iter())
+                    .chain(o.durations.iter())
                     .map(|x| x.to_bits())
                     .collect()
             })
             .collect()
     }
 
-    /// Every output bit of a max–min block, per point.
-    fn mm_bits(out: &[SchedulePoint]) -> Vec<Vec<u64>> {
-        out.iter()
-            .map(|p| {
-                let head = [p.objective, p.ra, p.rb];
-                head.iter()
-                    .chain(p.durations.iter())
-                    .map(|x| x.to_bits())
-                    .collect()
-            })
-            .collect()
+    /// All eight `(objective, protocol)` requests over the inner bound,
+    /// sum rate first.
+    fn every_request() -> Vec<SolveRequest> {
+        let both = [SolveRequest::sum_rate, SolveRequest::max_min];
+        both.iter().flat_map(|mk| Protocol::ALL.map(mk)).collect()
+    }
+
+    /// `SolveCtx::solve_block` against per-point `SolveCtx::solve_one`
+    /// for all eight requests (HBC max–min runs the per-point LP inside
+    /// the block), at block lengths 0..=17 and 1024. Each side runs on a
+    /// fresh context, so both warm-start the LP from the same history.
+    #[test]
+    fn solve_block_is_bit_identical_to_solve_one() {
+        let nets = varied();
+        for n in (0..=17).chain([1024]) {
+            let pts: Vec<_> = nets.iter().cycle().take(n).cloned().collect();
+            let b = filled_block(&pts);
+            for req in every_request() {
+                let mut got = Vec::new();
+                SolveCtx::new().solve_block(&b, req, &mut got).unwrap();
+                let mut ctx = SolveCtx::new();
+                let want: Vec<_> = pts
+                    .iter()
+                    .map(|net| ctx.solve_one(net, req).unwrap())
+                    .collect();
+                assert_eq!(outcome_bits(&got), outcome_bits(&want), "{req:?}, n = {n}");
+                let keys = |o: &SolveOutcome| (o.objective, o.protocol);
+                assert!(got.iter().all(|o| keys(o) == (req.objective, req.protocol)));
+            }
+        }
     }
 
     /// Every block path this host can run, and the names of those it
@@ -2036,9 +1950,10 @@ mod tests {
     }
 
     /// Every block path the host has, forced, against the dispatched
-    /// path and the width-1 scalar kernel, at block lengths 0..=17 (every
-    /// tail shape of 4- and 8-wide chunks) and 1024. A path the host
-    /// lacks is reported as skipped.
+    /// path and the width-1 scalar kernel, for every request, at block
+    /// lengths 0..=17 (every tail shape of 4- and 8-wide chunks) and 1024.
+    /// HBC max–min has no closed form: every path declines it and leaves
+    /// its output alone. A path the host lacks is reported as skipped.
     #[test]
     fn every_block_path_is_bit_identical_to_dispatched() {
         let (paths, lacking) = host_paths();
@@ -2048,40 +1963,26 @@ mod tests {
         let nets = varied();
         for n in (0..=17).chain([1024]) {
             let b = filled_block(&nets.iter().cycle().take(n).cloned().collect::<Vec<_>>());
-            for proto in Protocol::ALL {
+            for req in every_request() {
+                let (objective, protocol) = (req.objective, req.protocol);
                 let mut want = Vec::new();
-                max_sum_rate_block(&b, proto, &mut want);
-                let scalar: Vec<_> = (0..n).map(|i| sum_rate_one(&b.caps(i), proto)).collect();
+                let answered = solve_block(&b, objective, protocol, &mut want);
+                assert_eq!(answered, req.is_batchable(), "{req:?}");
+                let scalar: Vec<_> = (0..n)
+                    .filter_map(|i| solve_one(&b.caps(i), objective, protocol))
+                    .collect();
                 assert_eq!(
-                    sum_bits(&want),
-                    sum_bits(&scalar),
-                    "{proto} sum rate, n = {n}"
+                    outcome_bits(&want),
+                    outcome_bits(&scalar),
+                    "{req:?}, n = {n}"
                 );
                 for path in &paths {
                     let mut got = Vec::new();
-                    path.sum_block(&b, proto, &mut got);
+                    assert_eq!(path.run(&b, objective, protocol, &mut got), answered);
                     assert_eq!(
-                        sum_bits(&got),
-                        sum_bits(&want),
-                        "{proto} sum rate on {}, n = {n}",
-                        path.name()
-                    );
-                }
-            }
-            for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
-                let mut want = Vec::new();
-                assert!(max_min_rate_block(&b, proto, &mut want));
-                let scalar: Vec<_> = (0..n)
-                    .map(|i| max_min_one(&b.caps(i), proto).expect("closed form"))
-                    .collect();
-                assert_eq!(mm_bits(&want), mm_bits(&scalar), "{proto} max-min, n = {n}");
-                for path in &paths {
-                    let mut got = Vec::new();
-                    path.mm_block(&b, proto, &mut got);
-                    assert_eq!(
-                        mm_bits(&got),
-                        mm_bits(&want),
-                        "{proto} max-min on {}, n = {n}",
+                        outcome_bits(&got),
+                        outcome_bits(&want),
+                        "{req:?} on {}, n = {n}",
                         path.name()
                     );
                 }
@@ -2105,19 +2006,12 @@ mod tests {
         let nets = varied();
         let b = filled_block(&nets);
         let neg_zero = (-0.0f64).to_bits();
-        for proto in Protocol::ALL {
+        for req in every_request() {
             let mut out = Vec::new();
-            max_sum_rate_block(&b, proto, &mut out);
-            for (i, s) in out.iter().enumerate() {
-                let bad = s.durations.iter().any(|x| x.to_bits() == neg_zero);
-                assert!(!bad, "{proto} sum rate at {i}: {:?}", s.durations);
-            }
-            let mut pts = Vec::new();
-            if max_min_rate_block(&b, proto, &mut pts) {
-                for (i, p) in pts.iter().enumerate() {
-                    let bad = p.durations.iter().any(|x| x.to_bits() == neg_zero);
-                    assert!(!bad, "{proto} max-min at {i}: {:?}", p.durations);
-                }
+            solve_block(&b, req.objective, req.protocol, &mut out);
+            for (i, o) in out.iter().enumerate() {
+                let bad = o.durations.iter().any(|x| x.to_bits() == neg_zero);
+                assert!(!bad, "{req:?} at {i}: {:?}", o.durations);
             }
         }
         let hbc = kernel::max_sum_rate(&grid()[4], Protocol::Hbc);
@@ -2255,7 +2149,10 @@ mod tests {
         let nets = grid(); // 13 points: 12 in full lanes, 1 tail
         let b = filled_block(&nets);
         let mut out = Vec::new();
-        let ((), d) = stats::scoped(|| max_sum_rate_block(&b, Protocol::Hbc, &mut out));
+        let path = LanePath::detect();
+        let (answered, d) =
+            stats::scoped(|| path.run(&b, Objective::SumRate, Protocol::Hbc, &mut out));
+        assert!(answered);
         assert_eq!(
             d,
             stats::KernelStats {

@@ -26,9 +26,10 @@
 //! form (`bcc-core/tests/kernel_oracle.rs`).
 //!
 //! The closed forms themselves are implemented **once**, as width-generic
-//! lane kernels in [`crate::batch`]; the scalar entry points here are the
-//! width-1 instantiations of those lane bodies, so scalar and batched
-//! answers are bit-identical by construction.
+//! lane kernels in [`crate::batch`] that write [`SolveOutcome`]s. A
+//! scalar solve runs a lane body at width 1 and a block runs it over
+//! vector chunks plus a width-1 tail, so scalar and batched answers are
+//! bit-identical by construction.
 //!
 //! # The solve API
 //!
@@ -38,7 +39,11 @@
 //! QoS floor, and resolves to a [`SolveOutcome`] through
 //! [`SolveCtx::solve_one`] (scalar), [`SolveCtx::solve_block`] (batched
 //! over a [`PointBlock`]) or [`SolveCtx::solve_best`] (argmax over
-//! protocols).
+//! protocols). `solve_block` is the one public block entry point: the
+//! lane kernels append their outcomes straight into its output column.
+//! [`max_sum_rate`] and [`max_min_rate`] are the closed forms at one
+//! network, as the legacy [`SumRateSolution`] / [`SchedulePoint`]
+//! records.
 //!
 //! # The solve context
 //!
@@ -51,12 +56,13 @@
 //!
 //! A request takes one of two routes. An inner-bound request the closed
 //! forms cover ([`SolveRequest::is_batchable`]) is answered from the
-//! point's capacities; that test is the one place a new closed form
-//! plugs in. Every other request — QoS floors, outer bounds (HBC's
-//! ρ-family among them) and HBC's max–min — builds its constraint set or
-//! family into the arena and goes through one LP loop, which maximises
-//! the objective over the members and reports infeasibility only when
-//! every member is infeasible.
+//! point's capacities; a new closed form plugs in at that test plus one
+//! arm of the `(objective, protocol) → lane body` table in
+//! [`crate::batch`]. Every other request — QoS floors, outer bounds
+//! (HBC's ρ-family among them) and HBC's max–min — builds its constraint
+//! set or family into the arena and goes through one LP loop, which
+//! maximises the objective over the members and reports infeasibility
+//! only when every member is infeasible.
 //!
 //! # The blocked driver
 //!
@@ -69,7 +75,7 @@
 //! the deep-outage sampler keep their own job index and use
 //! `BlockSolver` directly.
 
-use crate::batch::{stats, PointBlock};
+use crate::batch::PointBlock;
 use crate::bounds::{self, LinkCaps};
 use crate::constraint::{ConstraintBuf, ConstraintSet, PhaseVec};
 use crate::error::CoreError;
@@ -79,47 +85,23 @@ use crate::protocol::{Bound, Protocol};
 use bcc_lp::{Problem, Relation, Sense, Solution, Workspace};
 use std::ops::Range;
 
-/// Records one kernel-served scalar solve.
-fn record_kernel_hit() {
-    stats::record(&stats::KernelStats {
-        kernel_hits: 1,
-        ..stats::KernelStats::zero()
-    });
-}
-
 /// Closed-form `max_sum_rate` — covers **all four** protocols (DT and
 /// MABC by 1-D line crossing, TDBC by 2-simplex vertex enumeration, HBC
 /// by 3-simplex vertex enumeration).
 pub fn max_sum_rate(net: &GaussianNetwork, protocol: Protocol) -> SumRateSolution {
-    max_sum_rate_from_caps(&LinkCaps::compute(&net.powers(), &net.state()), protocol)
+    let caps = LinkCaps::compute(&net.powers(), &net.state());
+    crate::batch::solve_one(&caps, Objective::SumRate, protocol)
+        .expect("every protocol's sum rate has a closed form")
+        .sum_rate_solution()
 }
 
-/// [`max_sum_rate`] from precomputed [`LinkCaps`] (the batch hot path —
-/// one capacity evaluation per point serves every protocol).
-pub fn max_sum_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> SumRateSolution {
-    let sol = crate::batch::sum_rate_one(caps, protocol);
-    record_kernel_hit();
-    sol
-}
-
-/// Closed-form `max_min_rate` (largest symmetric rate) for DT, MABC and
-/// TDBC; `None` for HBC (its four-phase max–min stays on the simplex —
-/// the query is off the sweep hot path and the 3-simplex tie structure
-/// buys little over a warm-started solve).
+/// Closed-form `max_min_rate` (largest symmetric rate); `None` exactly
+/// when [`SolveRequest::max_min`] of `protocol` is not
+/// [batchable](SolveRequest::is_batchable) — HBC, whose four-phase
+/// max–min stays on the simplex.
 pub fn max_min_rate(net: &GaussianNetwork, protocol: Protocol) -> Option<SchedulePoint> {
-    match protocol {
-        Protocol::DirectTransmission | Protocol::Mabc | Protocol::Tdbc => {
-            max_min_rate_from_caps(&LinkCaps::compute(&net.powers(), &net.state()), protocol)
-        }
-        Protocol::Hbc => None,
-    }
-}
-
-/// [`max_min_rate`] from precomputed [`LinkCaps`].
-pub fn max_min_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
-    let pt = crate::batch::max_min_one(caps, protocol)?;
-    record_kernel_hit();
-    Some(pt)
+    let caps = LinkCaps::compute(&net.powers(), &net.state());
+    crate::batch::solve_one(&caps, Objective::MaxMin, protocol).map(|o| o.schedule_point())
 }
 
 /// The objective a [`SolveRequest`] optimises.
@@ -227,17 +209,6 @@ pub struct SolveOutcome {
 }
 
 impl SolveOutcome {
-    fn from_sum(sol: SumRateSolution) -> Self {
-        SolveOutcome {
-            protocol: sol.protocol,
-            objective: Objective::SumRate,
-            ra: sol.ra,
-            rb: sol.rb,
-            durations: sol.durations,
-            value: sol.sum_rate,
-        }
-    }
-
     fn from_point(protocol: Protocol, objective: Objective, pt: SchedulePoint) -> Self {
         SolveOutcome {
             protocol,
@@ -477,10 +448,6 @@ pub struct SolveCtx {
     /// one [`LinkCaps`] evaluation (pure function of the key, so caching
     /// never changes results).
     caps: Option<(bcc_channel::PowerSplit, bcc_channel::ChannelState, LinkCaps)>,
-    /// Batched-solve scratch, reused across [`SolveCtx::solve_block`]
-    /// calls (amortised to zero allocations per point).
-    scratch_sum: Vec<SumRateSolution>,
-    scratch_pts: Vec<SchedulePoint>,
 }
 
 impl SolveCtx {
@@ -552,16 +519,9 @@ impl SolveCtx {
         req: SolveRequest,
     ) -> Result<SolveOutcome, CoreError> {
         if req.is_batchable() {
-            return Ok(match req.objective {
-                Objective::SumRate => {
-                    SolveOutcome::from_sum(max_sum_rate_from_caps(caps, req.protocol))
-                }
-                Objective::MaxMin => {
-                    let pt = max_min_rate_from_caps(caps, req.protocol)
-                        .expect("is_batchable excludes HBC max-min");
-                    SolveOutcome::from_point(req.protocol, req.objective, pt)
-                }
-            });
+            if let Some(outcome) = crate::batch::solve_one(caps, req.objective, req.protocol) {
+                return Ok(outcome);
+            }
         }
         self.buf.begin();
         bounds::inner_constraints_from_caps_into(req.protocol, caps, self.buf.next_set());
@@ -572,8 +532,9 @@ impl SolveCtx {
     /// appending outcomes to `out` in block order.
     ///
     /// [Batchable](SolveRequest::is_batchable) requests run through the
-    /// SIMD-ready lane kernels of [`crate::batch`] (bit-identical to the
-    /// scalar path). Every other request goes point by point, exactly as
+    /// SIMD lane kernels of [`crate::batch`], which append their outcomes
+    /// to `out` directly (bit-identical to the scalar path). Every other
+    /// request goes point by point, exactly as
     /// [`SolveCtx::solve_one`] would: an inner-bound one builds its set
     /// from the block's capacity lanes, an outer-bound one from the
     /// point's network.
@@ -595,28 +556,8 @@ impl SolveCtx {
         out: &mut Vec<SolveOutcome>,
     ) -> Result<(), CoreError> {
         out.reserve(block.len());
-        if req.is_batchable() {
-            match req.objective {
-                Objective::SumRate => {
-                    self.scratch_sum.clear();
-                    crate::batch::max_sum_rate_block(block, req.protocol, &mut self.scratch_sum);
-                    out.extend(self.scratch_sum.drain(..).map(SolveOutcome::from_sum));
-                }
-                Objective::MaxMin => {
-                    self.scratch_pts.clear();
-                    let covered = crate::batch::max_min_rate_block(
-                        block,
-                        req.protocol,
-                        &mut self.scratch_pts,
-                    );
-                    debug_assert!(covered, "is_batchable excludes HBC max-min");
-                    out.extend(
-                        self.scratch_pts
-                            .drain(..)
-                            .map(|pt| SolveOutcome::from_point(req.protocol, req.objective, pt)),
-                    );
-                }
-            }
+        if req.is_batchable() && crate::batch::solve_block(block, req.objective, req.protocol, out)
+        {
             return Ok(());
         }
         for i in 0..block.len() {
@@ -851,7 +792,13 @@ mod tests {
     #[test]
     fn kernel_coverage_matches_dispatch_rules() {
         let n = fig4(10.0);
-        // Max–min: everything but HBC (every sum rate has a closed form).
+        // Every sum rate has a closed form; max–min has one exactly where
+        // the request is batchable (everything but HBC).
+        for proto in Protocol::ALL {
+            assert!(SolveRequest::sum_rate(proto).is_batchable());
+            let batchable = SolveRequest::max_min(proto).is_batchable();
+            assert_eq!(max_min_rate(&n, proto).is_some(), batchable, "{proto}");
+        }
         assert!(max_min_rate(&n, Protocol::Tdbc).is_some());
         assert!(max_min_rate(&n, Protocol::Hbc).is_none());
     }

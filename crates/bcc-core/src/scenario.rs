@@ -1070,7 +1070,10 @@ impl ComparisonResult {
         self.protocols.iter().filter_map(|&p| self.solutions.get(p))
     }
 
-    /// The winning protocol's solution, ignoring non-finite optima.
+    /// The winning protocol's solution, ignoring non-finite optima. Of
+    /// equal optima the earliest in evaluation order wins, as in
+    /// [`ranked`](ComparisonResult::ranked), [`SweepResult::winner`] and
+    /// `SolveCtx::solve_best`.
     ///
     /// # Errors
     ///
@@ -1080,11 +1083,7 @@ impl ComparisonResult {
     pub fn best(&self) -> Result<&SumRateSolution, CoreError> {
         self.solutions()
             .filter(|s| s.sum_rate.is_finite())
-            .max_by(|a, b| {
-                a.sum_rate
-                    .partial_cmp(&b.sum_rate)
-                    .expect("finite rates compare")
-            })
+            .reduce(|best, s| if s.sum_rate > best.sum_rate { s } else { best })
             .ok_or_else(|| CoreError::NoFiniteOptimum {
                 context: format!("comparison at x = {}", self.x),
             })
@@ -1386,6 +1385,40 @@ mod tests {
         let ranked = cmp.ranked();
         assert_eq!(ranked.len(), 4);
         assert!(ranked.windows(2).all(|w| w[0].sum_rate >= w[1].sum_rate));
+    }
+
+    #[test]
+    fn best_keeps_the_first_of_tied_protocols() {
+        // A dead network scores 0 for every protocol: DT, listed first,
+        // wins everywhere a winner is named.
+        let dead = GaussianNetwork::with_powers(
+            PowerSplit::new(0.0, 0.0, 0.0),
+            ChannelState::new(1.0, 1.0, 1.0),
+        );
+        let cmp = Scenario::at(dead).build().compare().unwrap();
+        assert_eq!(cmp.best().unwrap().protocol, Protocol::DirectTransmission);
+        assert_eq!(cmp.ranked()[0].protocol, Protocol::DirectTransmission);
+        let sweep = Scenario::at(dead).build().sweep().unwrap();
+        assert_eq!(sweep.winner(0), Protocol::DirectTransmission);
+    }
+
+    #[test]
+    fn best_ranked_and_winner_agree_along_sweeps() {
+        // Fig. 3's relay-gain and relay-position sweeps, where HBC ties
+        // one of its special cases exactly at many points.
+        let gains =
+            Scenario::symmetric_gain_sweep_db(15.0, 0.0, (0..=60).map(|k| 0.5 * f64::from(k)));
+        let positions = (1..100).map(|k| f64::from(k) / 100.0);
+        let line = Scenario::relay_position_sweep(15.0, 3.0, positions).unwrap();
+        for sc in [gains, line] {
+            let mut eval = sc.build();
+            let sweep = eval.sweep().unwrap();
+            for (i, cmp) in eval.comparisons().unwrap().iter().enumerate() {
+                let best = cmp.best().unwrap().protocol;
+                assert_eq!(best, sweep.winner(i), "point {i}");
+                assert_eq!(best, cmp.ranked()[0].protocol, "point {i}");
+            }
+        }
     }
 
     #[test]

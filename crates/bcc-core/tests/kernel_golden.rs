@@ -5,9 +5,10 @@
 //! but both sides run the same lane bodies, so a change that moves a bit
 //! in both at once passes it. This suite pins the answers themselves: it
 //! folds every output bit — value, `ra`, `rb` and each duration, so a
-//! flipped sign of zero counts — of `max_sum_rate_block` for all four
-//! protocols and `max_min_rate_block` for DT/MABC/TDBC over four fixed
-//! input sets, and compares each fold with a recorded hash.
+//! flipped sign of zero counts — of `SolveCtx::solve_block` for the seven
+//! requests the closed forms answer (sum rate for all four protocols,
+//! max–min for DT/MABC/TDBC) over four fixed input sets, and compares
+//! each fold with a recorded hash.
 //!
 //! A second table pins the requests the closed forms do not answer:
 //! `solve_one` with QoS floors, outer bounds (HBC's ρ-family among
@@ -23,11 +24,10 @@
 
 use bcc_channel::fading::FadingModel;
 use bcc_channel::{ChannelState, PowerSplit};
-use bcc_core::batch::{max_min_rate_block, max_sum_rate_block, PointBlock};
-use bcc_core::gaussian::{GaussianNetwork, SumRateSolution};
-use bcc_core::optimizer::SchedulePoint;
+use bcc_core::batch::PointBlock;
+use bcc_core::gaussian::GaussianNetwork;
 use bcc_core::scenario::{mix_seed, trial_stream};
-use bcc_core::{Bound, Protocol, SolveCtx, SolveRequest};
+use bcc_core::{Bound, Protocol, SolveCtx, SolveOutcome, SolveRequest};
 use bcc_num::db::Db;
 
 /// FNV-1a over 64-bit words.
@@ -141,20 +141,20 @@ fn asym_splits() -> Vec<GaussianNetwork> {
     nets
 }
 
-fn sum_hash(sols: &[SumRateSolution]) -> u64 {
-    let mut f = Fold::new();
-    for s in sols {
-        f.f64s(&[s.sum_rate, s.ra, s.rb]);
-        f.f64s(s.durations.as_slice());
-    }
-    f.0
+/// Folds one outcome: value, `ra`, `rb`, then the durations.
+fn fold_outcome(f: &mut Fold, o: &SolveOutcome) {
+    f.f64s(&[o.value, o.ra, o.rb]);
+    f.f64s(o.durations.as_slice());
 }
 
-fn mm_hash(pts: &[SchedulePoint]) -> u64 {
+/// Folds `solve_block(block, req)` through one fresh context.
+fn block_hash(block: &PointBlock, req: SolveRequest) -> u64 {
+    let mut out = Vec::new();
+    SolveCtx::new().solve_block(block, req, &mut out).unwrap();
+    assert_eq!(out.len(), block.len());
     let mut f = Fold::new();
-    for p in pts {
-        f.f64s(&[p.objective, p.ra, p.rb]);
-        f.f64s(p.durations.as_slice());
+    for o in &out {
+        fold_outcome(&mut f, o);
     }
     f.0
 }
@@ -208,16 +208,12 @@ fn measured() -> Vec<(&'static str, &'static str, &'static str, u64)> {
         }
         block.compute_caps();
         for p in Protocol::ALL {
-            let mut sols = Vec::new();
-            max_sum_rate_block(&block, p, &mut sols);
-            assert_eq!(sols.len(), nets.len());
-            rows.push((*name, "sum", p.name(), sum_hash(&sols)));
+            let hash = block_hash(&block, SolveRequest::sum_rate(p));
+            rows.push((*name, "sum", p.name(), hash));
         }
         for p in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
-            let mut pts = Vec::new();
-            assert!(max_min_rate_block(&block, p, &mut pts));
-            assert_eq!(pts.len(), nets.len());
-            rows.push((*name, "maxmin", p.name(), mm_hash(&pts)));
+            let hash = block_hash(&block, SolveRequest::max_min(p));
+            rows.push((*name, "maxmin", p.name(), hash));
         }
     }
     rows
@@ -249,10 +245,7 @@ fn solve_one_hash(nets: &[GaussianNetwork], req: SolveRequest) -> u64 {
     let mut f = Fold::new();
     for net in nets {
         match ctx.solve_one(net, req) {
-            Ok(o) => {
-                f.f64s(&[o.value, o.ra, o.rb]);
-                f.f64s(o.durations.as_slice());
-            }
+            Ok(o) => fold_outcome(&mut f, &o),
             Err(e) => {
                 f.word(0xe440_e440_e440_e440);
                 f.word(u64::from(e.is_infeasible()));

@@ -4,7 +4,7 @@
 //! fading trials — are independent per item, so they scale linearly with
 //! cores *if* the scheduling overhead stays negligible against an LP solve
 //! (tens of microseconds). This module provides exactly that and nothing
-//! more: a chunked, self-scheduling [`par_map_indexed`] over scoped
+//! more: a chunked, self-scheduling [`par_map_indexed_with`] over scoped
 //! `std::thread` workers. No thread-pool crate, no channels, no unsafe —
 //! workers pull chunks of indices from one shared atomic cursor (idle
 //! workers automatically "steal" the chunks a slow worker never claims),
@@ -33,7 +33,7 @@
 //! use bcc_num::par;
 //!
 //! let xs = vec![1.0f64, 4.0, 9.0, 16.0];
-//! let roots = par::par_map_indexed(&xs, || (), |(), i, &x| (i, x.sqrt()));
+//! let roots = par::par_map_indexed_with(2, &xs, || (), |(), i, &x| (i, x.sqrt()));
 //! assert_eq!(roots, vec![(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
 //! ```
 
@@ -74,18 +74,6 @@ fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Maps `f` over `items` with [`thread_count`] workers, preserving input
-/// order. See [`par_map_indexed_with`].
-pub fn par_map_indexed<T, S, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    par_map_indexed_with(thread_count(), items, init, f)
 }
 
 /// Maps `f(state, index, item)` over `items` on `threads` scoped workers

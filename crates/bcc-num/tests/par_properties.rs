@@ -1,5 +1,5 @@
 //! Property-based tests for the parallel map engine: for *any* input and
-//! *any* worker count, `par_map_indexed` must behave exactly like the
+//! *any* worker count, `par_map_indexed_with` must behave exactly like the
 //! serial `map` — order preserved, every item visited once, empty and
 //! singleton inputs included.
 

@@ -172,8 +172,9 @@ proptest! {
         }
     }
 
-    /// The raw block kernels against the public scalar kernel entry
-    /// points — the layer the evaluator paths are built on.
+    /// The closed-form block path (`SolveCtx::solve_block` on batchable
+    /// requests) against the public scalar kernel entry points, which
+    /// decline exactly the requests that are not batchable.
     #[test]
     fn block_kernels_match_scalar_kernels(nets in vec(arb_net(), 1..13)) {
         let mut block = PointBlock::new();
@@ -181,27 +182,29 @@ proptest! {
             block.push_net(n);
         }
         block.compute_caps();
-        let mut sums = Vec::new();
-        let mut pts = Vec::new();
+        let mut ctx = SolveCtx::new();
+        let mut out = Vec::new();
         for proto in Protocol::ALL {
-            sums.clear();
-            bcc_core::batch::max_sum_rate_block(&block, proto, &mut sums);
-            for (n, got) in nets.iter().zip(&sums) {
+            out.clear();
+            ctx.solve_block(&block, SolveRequest::sum_rate(proto), &mut out).unwrap();
+            for (n, got) in nets.iter().zip(&out) {
                 let want = kernel::max_sum_rate(n, proto);
-                prop_assert_eq!(got.sum_rate.to_bits(), want.sum_rate.to_bits(), "{proto}");
+                prop_assert_eq!(got.value.to_bits(), want.sum_rate.to_bits(), "{proto}");
                 prop_assert_eq!(got.ra.to_bits(), want.ra.to_bits(), "{proto}");
                 prop_assert_eq!(got.rb.to_bits(), want.rb.to_bits(), "{proto}");
                 prop_assert_eq!(duration_bits(&got.durations), duration_bits(&want.durations),
                     "{proto}");
             }
 
-            pts.clear();
-            let covered = bcc_core::batch::max_min_rate_block(&block, proto, &mut pts);
-            prop_assert_eq!(covered, proto != Protocol::Hbc);
+            let req = SolveRequest::max_min(proto);
+            let covered = kernel::max_min_rate(&nets[0], proto).is_some();
+            prop_assert_eq!(covered, req.is_batchable());
             if covered {
-                for (n, got) in nets.iter().zip(&pts) {
+                out.clear();
+                ctx.solve_block(&block, req, &mut out).unwrap();
+                for (n, got) in nets.iter().zip(&out) {
                     let want = kernel::max_min_rate(n, proto).unwrap();
-                    prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{proto}");
+                    prop_assert_eq!(got.value.to_bits(), want.objective.to_bits(), "{proto}");
                     prop_assert_eq!(duration_bits(&got.durations), duration_bits(&want.durations),
                         "{proto}");
                 }
