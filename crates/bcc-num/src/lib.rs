@@ -19,7 +19,7 @@
 //!   ([`seed::mix_seed`]): SplitMix64-finalised child streams shared by
 //!   the topology generators and every Monte-Carlo driver.
 //! * [`par`] — chunked, order-preserving data parallelism over scoped
-//!   worker threads (`par_map_indexed_with`), the engine behind the parallel
+//!   worker threads (`par_map_range`), the engine behind the parallel
 //!   `Scenario` evaluator and Monte-Carlo drivers.
 //! * [`metrics`] — per-thread counter sets ([`counter_set!`]): the LP,
 //!   kernel and serving counters every bench report reads.

@@ -4,7 +4,7 @@
 //! fading trials — are independent per item, so they scale linearly with
 //! cores *if* the scheduling overhead stays negligible against an LP solve
 //! (tens of microseconds). This module provides exactly that and nothing
-//! more: a chunked, self-scheduling [`par_map_indexed_with`] over scoped
+//! more: a chunked, self-scheduling [`par_map_range`] over scoped
 //! `std::thread` workers. No thread-pool crate, no channels, no unsafe —
 //! workers pull chunks of indices from one shared atomic cursor (idle
 //! workers automatically "steal" the chunks a slow worker never claims),
@@ -33,7 +33,7 @@
 //! use bcc_num::par;
 //!
 //! let xs = vec![1.0f64, 4.0, 9.0, 16.0];
-//! let roots = par::par_map_indexed_with(2, &xs, || (), |(), i, &x| (i, x.sqrt()));
+//! let roots = par::par_map_range(2, xs.len(), || (), |(), i| (i, xs[i].sqrt()));
 //! assert_eq!(roots, vec![(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
 //! ```
 
@@ -76,41 +76,23 @@ fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f(state, index, item)` over `items` on `threads` scoped workers
-/// and returns the results **in input order**.
+/// Maps an infallible `f(state, index)` over `0..n` on `threads` scoped
+/// workers and returns the results **in index order**; a caller mapping
+/// a slice indexes it inside `f`.
 ///
 /// `init` runs once per worker to build that worker's private scratch
-/// state (an LP workspace, a decoder buffer, …); items are then pulled in
-/// chunks from a shared cursor, so the assignment of items to workers is
-/// dynamic but the *result* of each item is not.
+/// state (an LP workspace, a decoder buffer, …); indices are then pulled
+/// in chunks from a shared cursor, so the assignment of indices to
+/// workers is dynamic but the *result* of each index is not.
 ///
-/// With `threads == 1` (or one item) everything runs inline on the calling
-/// thread — no threads are spawned, making the serial path allocation-free
-/// beyond the output vector.
+/// With `threads == 1` (or `n == 1`) everything runs inline on the
+/// calling thread — no threads are spawned, making the serial path
+/// allocation-free beyond the output vector.
 ///
 /// # Panics
 ///
 /// A panic in `f` or `init` on any worker is propagated to the caller
 /// after all workers have stopped.
-pub fn par_map_indexed_with<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    match try_par_map_range::<S, R, Never, _, _>(threads, items.len(), &init, |s, i| {
-        Ok(f(s, i, &items[i]))
-    }) {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
-
-/// Maps an infallible `f(state, index)` over `0..n` on `threads` workers,
-/// returning results in index order — the range-based sibling of
-/// [`par_map_indexed_with`] for drivers whose "items" are just indices
-/// (Monte-Carlo trials, flattened `point × trial` grids).
 pub fn par_map_range<S, R, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -266,7 +248,7 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let got = par_map_indexed_with(threads, &items, || (), |(), _, &x| x * 3 + 1);
+            let got = par_map_range(threads, items.len(), || (), |(), i| items[i] * 3 + 1);
             assert_eq!(got, expect, "threads = {threads}");
         }
     }
@@ -275,11 +257,12 @@ mod tests {
     fn empty_and_singleton() {
         let none: Vec<u8> = vec![];
         assert_eq!(
-            par_map_indexed_with(8, &none, || (), |(), i, _| i),
+            par_map_range(8, none.len(), || (), |(), i| i),
             Vec::<usize>::new()
         );
+        let one = [5.0];
         assert_eq!(
-            par_map_indexed_with(8, &[5.0], || (), |(), i, &x| (i, x)),
+            par_map_range(8, one.len(), || (), |(), i| (i, one[i])),
             [(0, 5.0)]
         );
     }
@@ -290,16 +273,16 @@ mod tests {
         // the per-item results must be item-local regardless.
         let items: Vec<u64> = (0..100).collect();
         let inits = AtomicUsize::new(0);
-        let got = par_map_indexed_with(
+        let got = par_map_range(
             4,
-            &items,
+            items.len(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0u64
             },
-            |seen, _, &x| {
+            |seen, i| {
                 *seen += 1;
-                x + 1
+                items[i] + 1
             },
         );
         assert_eq!(got, (1..=100).collect::<Vec<u64>>());
@@ -416,11 +399,12 @@ mod tests {
     #[should_panic(expected = "boom at 17")]
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..64).collect();
-        let _ = par_map_indexed_with(
+        let _ = par_map_range(
             4,
-            &items,
+            items.len(),
             || (),
-            |(), _, &x| {
+            |(), i| {
+                let x = items[i];
                 assert!(x != 17, "boom at {x}");
                 x
             },

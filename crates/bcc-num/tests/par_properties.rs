@@ -1,5 +1,5 @@
 //! Property-based tests for the parallel map engine: for *any* input and
-//! *any* worker count, `par_map_indexed_with` must behave exactly like the
+//! *any* worker count, `par_map_range` must behave exactly like the
 //! serial `map` — order preserved, every item visited once, empty and
 //! singleton inputs included.
 
@@ -17,18 +17,10 @@ proptest! {
             .enumerate()
             .map(|(i, &x)| x.mul_add(2.0, i as f64))
             .collect();
-        let got = par::par_map_indexed_with(threads, &items, || (), |(), i, &x| {
-            x.mul_add(2.0, i as f64)
+        let got = par::par_map_range(threads, items.len(), || (), |(), i| {
+            items[i].mul_add(2.0, i as f64)
         });
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn range_and_slice_engines_agree(n in 0usize..200, threads in 1usize..12) {
-        let items: Vec<usize> = (0..n).collect();
-        let via_slice = par::par_map_indexed_with(threads, &items, || (), |(), _, &x| x * x);
-        let via_range = par::par_map_range(threads, n, || (), |(), i| i * i);
-        prop_assert_eq!(via_slice, via_range);
     }
 
     #[test]
@@ -134,14 +126,15 @@ fn silence_panic_reports() {
 fn empty_input_all_worker_counts() {
     let empty: Vec<f64> = Vec::new();
     for threads in 1..10 {
-        assert!(par::par_map_indexed_with(threads, &empty, || (), |(), _, &x| x).is_empty());
+        assert!(par::par_map_range(threads, empty.len(), || (), |(), i| empty[i]).is_empty());
     }
 }
 
 #[test]
 fn singleton_input_all_worker_counts() {
     for threads in 1..10 {
-        let got = par::par_map_indexed_with(threads, &[7.5f64], || (), |(), i, &x| (i, x * 2.0));
+        let one = [7.5f64];
+        let got = par::par_map_range(threads, one.len(), || (), |(), i| (i, one[i] * 2.0));
         assert_eq!(got, vec![(0, 15.0)]);
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! [`Engine`] owns one [`SolveCtx`] and one [`DecisionCache`] and
 //! answers queries one at a time — the closed-loop path a latency bench
-//! measures. The batched, parallel path lives in
-//! [`Server`](crate::Server), which shares the same cache discipline but
-//! fans misses across workers.
+//! measures. It also holds the one copy of each serve step: the probe
+//! (validate, key, cache fates, cache read), the admission rules of the
+//! commit, and the provenance tags of an answer. The batched, parallel
+//! path in [`Server`](crate::Server) runs the same steps, and fans only
+//! the solves of its misses across workers.
 
 use crate::cache::{DecisionCache, Outcome};
 use crate::quant::{QuantKey, QuantSpec};
@@ -14,7 +16,7 @@ use crate::stats::ServeStats;
 use bcc_core::batch;
 use bcc_core::kernel::SolveRequest;
 use bcc_core::protocol::Protocol;
-use bcc_core::{Objective, SolveCtx};
+use bcc_core::{Objective, SolveCtx, SolveOutcome};
 use bcc_lp::LpStats;
 use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,19 +112,37 @@ pub(crate) struct SolvedMiss {
 }
 
 impl SolvedMiss {
-    /// Runs `solve` and counts everything it cost on this thread.
-    fn counted(
-        solve: impl FnOnce() -> (Result<Outcome, ServeError>, Option<DegradeReason>),
-    ) -> SolvedMiss {
-        let (((outcome, degraded), lp), kernel) =
-            batch::stats::scoped(|| bcc_lp::stats::scoped(solve));
-        SolvedMiss {
-            outcome,
-            degraded,
-            kernel_solves: kernel.kernel_hits,
-            lp,
-        }
+    /// The answer for one occurrence of this miss in a batch. Every
+    /// occurrence of a degraded miss is tagged `Degraded` (degraded
+    /// answers are never cached, so a duplicate is not a cache hit);
+    /// otherwise the `first` occurrence — the one that solved it — is
+    /// tagged `Kernel` and later duplicates `Cache`.
+    pub(crate) fn answer(&self, first: bool) -> Result<Decision, ServeError> {
+        let from = match self.degraded {
+            Some(reason) => ServedFrom::Degraded { reason },
+            None if first => ServedFrom::Kernel,
+            None => ServedFrom::Cache,
+        };
+        answer(self.outcome.clone(), from)
     }
+}
+
+/// The user-facing answer for `outcome` served from `from`: a decided
+/// outcome tagged with its provenance, proven infeasibility as
+/// [`ServeError::Infeasible`], an error as itself.
+pub(crate) fn answer(
+    outcome: Result<Outcome, ServeError>,
+    from: ServedFrom,
+) -> Result<Decision, ServeError> {
+    match outcome? {
+        Outcome::Decided(core) => Ok(core.tagged(from)),
+        Outcome::Infeasible => Err(ServeError::Infeasible),
+    }
+}
+
+/// A solved operating point as the decision the cache stores.
+pub(crate) fn decided(out: &SolveOutcome) -> Outcome {
+    Outcome::Decided(DecisionCore::from_solution(&out.sum_rate_solution()))
 }
 
 /// The full protocol selection for one already-snapped query.
@@ -135,26 +155,20 @@ fn select(ctx: &mut SolveCtx, snapped: &Query) -> Result<Outcome, ServeError> {
         snapped.bound,
         snapped.floor,
     ) {
-        Ok(Some(out)) => Ok(Outcome::Decided(DecisionCore::from_solution(
-            &out.sum_rate_solution(),
-        ))),
+        Ok(Some(out)) => Ok(decided(&out)),
         Ok(None) => Ok(Outcome::Infeasible),
         Err(e) => Err(ServeError::Solver(e)),
     }
 }
 
-/// Solves one already-snapped query on `ctx`, counting what the solve
-/// cost (kernel vs simplex, warm hits, pivots). Shared by the serial
-/// engine and the batch workers.
-pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
-    SolvedMiss::counted(|| (select(ctx, snapped), None))
-}
-
-/// Solves one snapped query under an armed fault plan and/or solve
-/// budget, degrading gracefully instead of propagating chaos:
+/// Solves one snapped query on `ctx`, counting what the solve cost on
+/// this thread (kernel vs simplex, warm hits, pivots). Shared by the
+/// serial engine and the batch workers. Under an armed fault plan
+/// and/or solve budget it degrades gracefully instead of propagating
+/// chaos:
 ///
-/// 1. With an empty plan and no budget this is exactly [`solve_counted`]
-///    — the fault-free instruction stream is untouched.
+/// 1. With an empty plan and no budget this is the plain protocol
+///    selection — the fault-free instruction stream is untouched.
 /// 2. Otherwise the solve runs inside a [`FaultScope`] keyed by the
 ///    quantized key's hash, wrapped in `catch_unwind`, with up to
 ///    **two attempts**: an injected/organic iteration limit, an injected
@@ -177,10 +191,21 @@ pub(crate) fn solve_guarded(
     plan: &FaultPlan,
     budget: Option<u64>,
 ) -> SolvedMiss {
-    if plan.is_empty() && budget.is_none() {
-        return solve_counted(ctx, snapped);
+    let (((outcome, degraded), lp), kernel) = batch::stats::scoped(|| {
+        bcc_lp::stats::scoped(|| {
+            if plan.is_empty() && budget.is_none() {
+                (select(ctx, snapped), None)
+            } else {
+                guarded(ctx, snapped, key.hash64(), plan, budget)
+            }
+        })
+    });
+    SolvedMiss {
+        outcome,
+        degraded,
+        kernel_solves: kernel.kernel_hits,
+        lp,
     }
-    SolvedMiss::counted(|| guarded(ctx, snapped, key.hash64(), plan, budget))
 }
 
 /// The outcome and degradation of [`solve_guarded`]'s chaos path.
@@ -235,9 +260,7 @@ fn guarded(
         .with_bound(snapped.bound)
         .with_floor(snapped.floor);
     let outcome = match ctx.solve_one(&net, req) {
-        Ok(out) => Ok(Outcome::Decided(DecisionCore::from_solution(
-            &out.sum_rate_solution(),
-        ))),
+        Ok(out) => Ok(decided(&out)),
         Err(e) if e.is_infeasible() => Err(ServeError::DegradedUnavailable { reason }),
         Err(e) => Err(ServeError::Solver(e)),
     };
@@ -245,10 +268,10 @@ fn guarded(
 }
 
 /// The per-key cache fates under `plan`: `(evict_fated, corrupt_fated)`.
-/// Evaluated in a scope of their own, keyed by the key's hash, so any
-/// code path — serial serve, batch probe, batch commit — reaches the
-/// same verdict for a key. The empty plan hashes nothing.
-pub(crate) fn cache_fates(plan: &FaultPlan, key: &QuantKey) -> (bool, bool) {
+/// Evaluated in a scope of their own, keyed by the key's hash, so every
+/// probe of a key — serial serve or batch drain, at any batch size —
+/// reaches the same verdict. The empty plan hashes nothing.
+fn cache_fates(plan: &FaultPlan, key: &QuantKey) -> (bool, bool) {
     if plan.is_empty() {
         return (false, false);
     }
@@ -269,18 +292,31 @@ pub fn cold_solve(
     spec: &QuantSpec,
 ) -> Result<Option<DecisionCore>, ServeError> {
     let (_, snapped) = spec.snap_query(query);
-    let net = snapped.network();
-    match ctx.solve_best(
-        &net,
-        &Protocol::ALL,
-        Objective::SumRate,
-        snapped.bound,
-        snapped.floor,
-    ) {
-        Ok(Some(out)) => Ok(Some(DecisionCore::from_solution(&out.sum_rate_solution()))),
-        Ok(None) => Ok(None),
-        Err(e) => Err(ServeError::Solver(e)),
-    }
+    Ok(match select(ctx, &snapped)? {
+        Outcome::Decided(core) => Some(core),
+        Outcome::Infeasible => None,
+    })
+}
+
+/// What [`Engine::probe`] found for one query.
+pub(crate) enum Probe {
+    /// Refused by [`Query::validate`]; never keyed or solved.
+    Invalid(ServeError),
+    /// The cache holds the key's outcome.
+    Hit(Outcome),
+    /// The key must be solved.
+    Miss(Miss),
+}
+
+/// A key the cache did not answer, with its cache fates under the
+/// engine's fault plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Miss {
+    pub key: QuantKey,
+    /// Never read from or admitted to the cache.
+    pub evict: bool,
+    /// Admitted with a bad checksum, so its next read misses.
+    pub corrupt: bool,
 }
 
 /// A serial protocol-selection engine with a quantized decision cache.
@@ -316,11 +352,6 @@ impl Engine {
         &self.cache
     }
 
-    /// Mutable cache access for the batched server's probe/commit phases.
-    pub(crate) fn cache_mut(&mut self) -> &mut DecisionCache {
-        &mut self.cache
-    }
-
     /// The armed fault plan (empty unless chaos testing).
     pub(crate) fn faults(&self) -> &FaultPlan {
         &self.faults
@@ -349,75 +380,76 @@ impl Engine {
     /// fallback, tagged [`ServedFrom::Degraded`] and **never cached** —
     /// see [`ServedFrom::Degraded`] for the guarantees.
     pub fn serve(&mut self, query: &Query) -> Result<Decision, ServeError> {
+        let evictions = self.cache.evictions();
         let mut delta = ServeStats {
             queries: 1,
             ..ServeStats::zero()
         };
-        if let Err(e) = query.validate() {
-            delta.validated_rejects = 1;
-            crate::stats::record(&delta);
-            return Err(e);
-        }
-        let key = self.spec.key(query);
-        let (evict_fated, corrupt_fated) = cache_fates(&self.faults, &key);
-        let cached = if evict_fated {
-            None
-        } else {
-            self.cache.get(&key)
-        };
-        let result = match cached {
-            Some(outcome) => {
-                delta.cache_hits = 1;
-                match outcome {
-                    Outcome::Decided(core) => Ok(core.tagged(ServedFrom::Cache)),
-                    Outcome::Infeasible => Err(ServeError::Infeasible),
-                }
+        let result = match self.probe(query) {
+            Probe::Invalid(e) => {
+                delta.validated_rejects = 1;
+                Err(e)
             }
-            None => {
-                delta.cache_misses = 1;
-                let evictions_before = self.cache.evictions();
+            Probe::Hit(outcome) => {
+                delta.cache_hits = 1;
+                answer(Ok(outcome), ServedFrom::Cache)
+            }
+            Probe::Miss(miss) => {
                 let solved = solve_guarded(
                     &mut self.ctx,
-                    &self.spec.snapped(&key),
-                    &key,
+                    &self.spec.snapped(&miss.key),
+                    &miss.key,
                     &self.faults,
                     self.solve_budget,
                 );
+                self.commit(&miss, &solved);
+                delta.cache_misses = 1;
                 delta.kernel_solves = solved.kernel_solves;
                 delta.simplex_solves = solved.lp.solves;
-                let result = match (solved.degraded, solved.outcome) {
-                    (Some(reason), Ok(Outcome::Decided(core))) => {
-                        delta.degraded = 1;
-                        Ok(core.tagged(ServedFrom::Degraded { reason }))
-                    }
-                    (Some(_), Ok(Outcome::Infeasible)) => {
-                        unreachable!("the fallback maps infeasibility to DegradedUnavailable")
-                    }
-                    (Some(_), Err(e)) => {
-                        delta.degraded = 1;
-                        Err(e)
-                    }
-                    (None, Ok(outcome)) => {
-                        if !evict_fated {
-                            if corrupt_fated {
-                                self.cache.insert_corrupted(key, outcome);
-                            } else {
-                                self.cache.insert(key, outcome);
-                            }
-                        }
-                        match outcome {
-                            Outcome::Decided(core) => Ok(core.tagged(ServedFrom::Kernel)),
-                            Outcome::Infeasible => Err(ServeError::Infeasible),
-                        }
-                    }
-                    (None, Err(e)) => Err(e),
-                };
-                delta.evictions = self.cache.evictions().wrapping_sub(evictions_before);
-                result
+                delta.degraded = u64::from(solved.degraded.is_some());
+                solved.answer(true)
             }
         };
+        delta.evictions = self.cache.evictions().wrapping_sub(evictions);
         crate::stats::record(&delta);
         result
+    }
+
+    /// Validates and keys `query`, reads its cache fates and probes the
+    /// cache — except for an evict-fated key, which always misses.
+    pub(crate) fn probe(&mut self, query: &Query) -> Probe {
+        if let Err(e) = query.validate() {
+            return Probe::Invalid(e);
+        }
+        let key = self.spec.key(query);
+        let (evict, corrupt) = cache_fates(&self.faults, &key);
+        let cached = if evict { None } else { self.cache.get(&key) };
+        match cached {
+            Some(outcome) => Probe::Hit(outcome),
+            None => Probe::Miss(Miss {
+                key,
+                evict,
+                corrupt,
+            }),
+        }
+    }
+
+    /// Caches what solving `miss` found. Degraded answers are not the
+    /// decision at the key and solver errors are not outcomes, so
+    /// neither is cached (either would poison every later query there);
+    /// an evict-fated key is never admitted, and a corrupt-fated key is
+    /// stored with a bad checksum.
+    pub(crate) fn commit(&mut self, miss: &Miss, solved: &SolvedMiss) {
+        if solved.degraded.is_some() || miss.evict {
+            return;
+        }
+        if let Ok(outcome) = solved.outcome {
+            if miss.corrupt {
+                self.cache.insert_corrupted(miss.key, outcome);
+            } else {
+                self.cache.insert(miss.key, outcome);
+            }
+        }
     }
 }
 

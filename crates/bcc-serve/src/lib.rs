@@ -19,10 +19,11 @@
 //!   half a grid step per link), never answer precision. A
 //!   [`strict`](QuantSpec::strict) mode bypasses quantization entirely.
 //! * **Batched admission with backpressure** ([`Server`]): a bounded
-//!   submission queue drained in parallel over `bcc_num::par`, with
-//!   within-batch miss deduplication and [`Rejected`] pushback when the
-//!   queue is full. Drained decision streams are bit-identical at any
-//!   worker count.
+//!   submission queue drained through the engine's own probe, commit
+//!   and answer steps, with within-batch miss deduplication, the unique
+//!   misses solved in one `bcc_core::kernel::par_blocks` fan-out, and
+//!   [`Rejected`] pushback when the queue is full. Drained decision
+//!   streams are bit-identical at any worker count.
 //! * **Serve statistics** ([`stats`]): per-thread counters (queries,
 //!   hits, misses, evictions, rejects, kernel vs simplex solves) with
 //!   exact scoped deltas, a [`bcc_num::metrics`] counter set like

@@ -4,34 +4,39 @@
 //! end: callers [`submit`](Server::submit) queries into a bounded queue
 //! (a full queue pushes back with [`Rejected`] instead of growing
 //! without bound), and [`drain`](Server::drain) answers everything
-//! queued in one batch — probing the cache serially, deduplicating
-//! misses by quantized key, fanning the unique misses across the
-//! deterministic parallel engine of [`bcc_num::par`], and committing the
-//! results back into the cache.
+//! queued in one batch. It probes each query through the engine's own
+//! probe, deduplicates misses by quantized key, solves the unique misses
+//! in one [`par_blocks`] fan-out of [`DEFAULT_BLOCK`]-long ranges, and
+//! commits and answers through the engine's own admission rules and
+//! tags. Within a range, a fault-free batch's floor-free inner-bound
+//! misses are solved together by the lane kernels and every other miss
+//! on the worker's context, as [`Engine::serve`] would solve it. A drain
+//! of at most [`DEFAULT_BLOCK`] unique misses is one range and runs on
+//! the calling thread.
 //!
 //! # Determinism
 //!
 //! Drained decision streams are **bit-identical at any worker count**:
-//! the cache probe and commit phases are serial, miss deduplication is
+//! the probe and commit phases are serial, miss deduplication is
 //! first-seen order, and each solve is a pure function of its snapped
-//! query (contexts accept warm starts only under provable uniqueness,
-//! so solve results are history-independent). Only the *cost* counters
-//! in [`BatchStats`] (`warm_hits`, `pivots`) depend on how misses land
-//! on workers, and those are reported as diagnostics, never used in
+//! query (the lane kernels and the per-miss path agree bit for bit, and
+//! contexts accept warm starts only under provable uniqueness, so solve
+//! results are history-independent). Only the *cost* counters in
+//! [`BatchStats`] (`warm_hits`, `pivots`) depend on how misses land on
+//! workers, and those are reported as diagnostics, never used in
 //! answers.
 
-use crate::cache::Outcome;
-use crate::engine::{cache_fates, solve_counted, solve_guarded, Engine, ServeConfig, SolvedMiss};
+use crate::engine::{answer, decided, solve_guarded, Engine, Miss, Probe, ServeConfig, SolvedMiss};
 use crate::quant::QuantKey;
-use crate::query::{Decision, DecisionCore, Priority, Query, Rejected, ServeError, ServedFrom};
+use crate::query::{Decision, Priority, Query, Rejected, ServeError, ServedFrom};
 use crate::stats::ServeStats;
 use bcc_core::batch::DEFAULT_BLOCK;
-use bcc_core::kernel::par_blocks;
+use bcc_core::kernel::{par_blocks, BlockSolver};
 use bcc_core::protocol::Protocol;
-use bcc_core::{SolveCtx, SolveOutcome, SolveRequest};
+use bcc_core::{SolveOutcome, SolveRequest};
 use bcc_lp::LpStats;
-use bcc_num::par::par_map_indexed_with;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// What one drained batch cost — the serving-path counterpart of
 /// [`bcc_lp::stats::LpStats`], exposed per batch so bench gates can
@@ -65,17 +70,14 @@ pub struct BatchStats {
 }
 
 /// How one submitted query will be answered, planned during the serial
-/// cache-probe pass.
+/// probe pass.
 enum Plan {
-    /// Already cached: answer directly.
-    Hit(Outcome),
-    /// Miss `miss_idx` in the deduplicated solve list; `first` marks the
-    /// batch's first occurrence of the key (tagged `Kernel`; later
-    /// duplicates are cache hits on the shared solve).
+    /// Answered by its probe: a cache hit, or a query refused by
+    /// [`Query::validate`].
+    Probed(Result<Decision, ServeError>),
+    /// Occurrence of miss `miss_idx` in the deduplicated solve list;
+    /// `first` marks the batch's first occurrence of the key.
     Solve { miss_idx: usize, first: bool },
-    /// Refused by [`Query::validate`] before keying; answered with the
-    /// stored error, no solve.
-    Invalid(ServeError),
 }
 
 /// A batched protocol-selection server over a bounded submission queue.
@@ -160,10 +162,11 @@ impl Server {
 
     /// Answers every queued query, in submission order.
     ///
-    /// Misses are deduplicated by quantized key and fanned across
-    /// workers; see the module docs for the determinism contract. The
-    /// batch's cost is recorded in [`last_batch`](Server::last_batch)
-    /// and the draining thread's [`stats`](crate::stats).
+    /// Misses are deduplicated by quantized key and solved in one
+    /// blocked fan-out; see the module docs for how, and for the
+    /// determinism contract. The batch's cost is recorded in
+    /// [`last_batch`](Server::last_batch) and the draining thread's
+    /// [`stats`](crate::stats).
     pub fn drain(&mut self) -> Vec<Result<Decision, ServeError>> {
         // Swap in an empty queue of the same capacity, so later batches
         // do not regrow it from nothing.
@@ -173,144 +176,124 @@ impl Server {
             self.last_batch = BatchStats::default();
             return Vec::new();
         }
-
-        // Phase 1 (serial): validate, key, probe the cache, dedup misses
-        // by key; only a unique miss decodes its grid point. Under an
-        // armed fault plan, evict- or corrupt-fated keys bypass dedup
-        // (every occurrence solves fresh, exactly as the serial engine
-        // would), and evict-fated keys also bypass the probe — so chaos
-        // runs stay invariant under batch size.
-        let spec = *self.engine.spec();
-        let plan = *self.engine.faults();
-        let budget = self.engine.solve_budget();
-        let chaos = !plan.is_empty() || budget.is_some();
-        let mut validated_rejects = 0u64;
-        let mut plans = Vec::with_capacity(batch.len());
-        let mut miss_of_key: HashMap<QuantKey, usize> = HashMap::new();
-        let mut miss_keys: Vec<QuantKey> = Vec::new();
-        let mut miss_queries: Vec<Query> = Vec::new();
-        let mut miss_fates: Vec<(bool, bool)> = Vec::new();
-        for query in &batch {
-            if let Err(e) = query.validate() {
-                validated_rejects += 1;
-                plans.push(Plan::Invalid(e));
-                continue;
-            }
-            let key = spec.key(query);
-            let (evict_fated, corrupt_fated) = cache_fates(&plan, &key);
-            if !evict_fated {
-                if let Some(outcome) = self.engine.cache_mut().get(&key) {
-                    plans.push(Plan::Hit(outcome));
-                    continue;
-                }
-            }
-            let bypass_dedup = evict_fated || corrupt_fated;
-            if !bypass_dedup {
-                if let Some(&miss_idx) = miss_of_key.get(&key) {
-                    plans.push(Plan::Solve {
-                        miss_idx,
-                        first: false,
-                    });
-                    continue;
-                }
-            }
-            let miss_idx = miss_queries.len();
-            if !bypass_dedup {
-                miss_of_key.insert(key, miss_idx);
-            }
-            miss_keys.push(key);
-            miss_queries.push(spec.snapped(&key));
-            miss_fates.push((evict_fated, corrupt_fated));
-            plans.push(Plan::Solve {
-                miss_idx,
-                first: true,
-            });
-        }
-
-        // Phase 2 (parallel): solve the unique misses. Results come back
-        // in miss order regardless of scheduling. Chaos batches take the
-        // guarded scalar path for every miss (its answers are bitwise
-        // equal to the lane kernels when no fault fires, by the
-        // serial-vs-batched differential invariant); fault-free batches
-        // keep the SoA lane kernels.
-        let threads = self.threads.unwrap_or_else(bcc_num::par::thread_count);
-        let solved: Vec<SolvedMiss> = if chaos {
-            par_map_indexed_with(threads, &miss_queries, SolveCtx::new, |ctx, i, snapped| {
-                solve_guarded(ctx, snapped, &miss_keys[i], &plan, budget)
-            })
-        } else {
-            solve_misses(threads, &miss_queries)
-        };
-
-        // Phase 3 (serial): commit solved outcomes into the cache in miss
-        // order. Solver errors and degraded fallback answers are never
-        // cached (a degraded answer is not the decision at the key, and
-        // caching it would poison every later query there); corrupt-fated
-        // keys are admitted with a bad checksum, evict-fated keys are not
-        // admitted at all.
         let evictions_before = self.engine.cache().evictions();
         let mut stats = BatchStats {
             queries: batch.len() as u64,
-            solved: miss_queries.len() as u64,
-            validated_rejects,
             ..BatchStats::default()
         };
-        for ((key, miss), &(evict_fated, corrupt_fated)) in
-            miss_keys.iter().zip(&solved).zip(&miss_fates)
-        {
-            stats.kernel_solves += miss.kernel_solves;
-            stats.simplex_solves += miss.lp.solves;
-            stats.warm_hits += miss.lp.warm_hits;
-            stats.pivots += miss.lp.pivots;
-            if miss.degraded.is_some() || evict_fated {
-                continue;
-            }
-            if let Ok(outcome) = miss.outcome {
-                if corrupt_fated {
-                    self.engine.cache_mut().insert_corrupted(*key, outcome);
-                } else {
-                    self.engine.cache_mut().insert(*key, outcome);
+
+        // Phase 1 (serial): probe, and dedup misses by key; only a unique
+        // miss decodes its grid point and picks its route, `lane` when the
+        // lane kernels answer it (a fault-free batch's floor-free
+        // inner-bound miss). Evict- or corrupt-fated keys bypass dedup
+        // (every occurrence solves fresh, exactly as the serial engine
+        // would), so chaos runs stay invariant under batch size.
+        let spec = *self.engine.spec();
+        let faults = *self.engine.faults();
+        let budget = self.engine.solve_budget();
+        let fault_free = faults.is_empty() && budget.is_none();
+        let mut plans = Vec::with_capacity(batch.len());
+        let mut miss_of_key: HashMap<QuantKey, usize> = HashMap::new();
+        let mut misses: Vec<(Miss, Query, bool)> = Vec::new();
+        for query in &batch {
+            plans.push(match self.engine.probe(query) {
+                Probe::Invalid(e) => {
+                    stats.validated_rejects += 1;
+                    Plan::Probed(Err(e))
                 }
-            }
+                Probe::Hit(outcome) => {
+                    stats.cache_hits += 1;
+                    Plan::Probed(answer(Ok(outcome), ServedFrom::Cache))
+                }
+                Probe::Miss(miss) => {
+                    let fresh = misses.len();
+                    let miss_idx = if miss.evict || miss.corrupt {
+                        fresh
+                    } else {
+                        *miss_of_key.entry(miss.key).or_insert(fresh)
+                    };
+                    if miss_idx == fresh {
+                        let q = spec.snapped(&miss.key);
+                        let lane = fault_free
+                            && SolveRequest::sum_rate(Protocol::Hbc)
+                                .with_bound(q.bound)
+                                .with_floor(q.floor)
+                                .is_batchable();
+                        misses.push((miss, q, lane));
+                    }
+                    Plan::Solve {
+                        miss_idx,
+                        first: miss_idx == fresh,
+                    }
+                }
+            });
         }
 
-        // Phase 4 (serial): assemble answers in submission order. Every
-        // occurrence of a degraded miss is tagged `Degraded` — degraded
-        // answers are never cached, so a duplicate is *not* a cache hit
-        // and must not claim to be one.
+        // Phase 2: solve the unique misses in one blocked fan-out, in
+        // miss order. A job solves its lane misses as one block, then
+        // each other miss on its own, as the serial engine would.
+        let requests = Protocol::ALL.map(SolveRequest::sum_rate);
+        let job = |solver: &mut BlockSolver, range: Range<usize>| {
+            let misses = &misses[range];
+            let block = solver.fill();
+            for (_, q, _) in misses.iter().filter(|(.., lane)| *lane) {
+                block.push_net(&q.network());
+            }
+            let outs = if block.is_empty() {
+                Vec::new()
+            } else {
+                solver.solve(&requests)?.to_vec()
+            };
+            let mut next_lane = 0;
+            Ok(misses
+                .iter()
+                .map(|(miss, q, lane)| {
+                    if *lane {
+                        next_lane += 1;
+                        best_lane(&outs, next_lane - 1)
+                    } else {
+                        solve_guarded(solver.ctx(), q, &miss.key, &faults, budget)
+                    }
+                })
+                .collect::<Vec<_>>())
+        };
+        let threads = self.threads.unwrap_or_else(bcc_num::par::thread_count);
+        let solved: Vec<SolvedMiss> = par_blocks(threads, misses.len(), DEFAULT_BLOCK, job)
+            .expect("the lane kernels are infallible; per-miss errors are answers")
+            .into_iter()
+            .flatten()
+            .collect();
+
+        // Phase 3 (serial): commit in miss order.
+        stats.solved = misses.len() as u64;
+        for ((miss, ..), solved) in misses.iter().zip(&solved) {
+            stats.kernel_solves += solved.kernel_solves;
+            stats.simplex_solves += solved.lp.solves;
+            stats.warm_hits += solved.lp.warm_hits;
+            stats.pivots += solved.lp.pivots;
+            self.engine.commit(miss, solved);
+        }
+
+        // Phase 4 (serial): assemble answers in submission order.
         let responses: Vec<Result<Decision, ServeError>> = plans
             .into_iter()
-            .map(|plan| {
-                let (outcome, from) = match plan {
-                    Plan::Hit(outcome) => {
+            .map(|plan| match plan {
+                Plan::Probed(result) => result,
+                Plan::Solve { miss_idx, first } => {
+                    let miss = &solved[miss_idx];
+                    if miss.degraded.is_some() {
+                        stats.degraded += 1;
+                    } else if !first {
                         stats.cache_hits += 1;
-                        (Ok(outcome), ServedFrom::Cache)
                     }
-                    Plan::Solve { miss_idx, first } => {
-                        let miss = &solved[miss_idx];
-                        let from = if let Some(reason) = miss.degraded {
-                            stats.degraded += 1;
-                            ServedFrom::Degraded { reason }
-                        } else if first {
-                            ServedFrom::Kernel
-                        } else {
-                            stats.cache_hits += 1;
-                            ServedFrom::Cache
-                        };
-                        (miss.outcome.clone(), from)
-                    }
-                    Plan::Invalid(e) => (Err(e), ServedFrom::Kernel),
-                };
-                match outcome {
-                    Ok(Outcome::Decided(core)) => Ok(core.tagged(from)),
-                    Ok(Outcome::Infeasible) => {
-                        stats.infeasible += 1;
-                        Err(ServeError::Infeasible)
-                    }
-                    Err(e) => Err(e),
+                    miss.answer(first)
                 }
             })
             .collect();
+        stats.infeasible = responses
+            .iter()
+            .filter(|r| matches!(r, Err(ServeError::Infeasible)))
+            .count() as u64;
 
         self.last_batch = stats;
         crate::stats::record(&ServeStats {
@@ -333,79 +316,22 @@ impl Server {
     }
 }
 
-/// Solves a batch's deduplicated misses, in miss order.
-///
-/// Inner-bound floor-free misses — the overwhelmingly common shape — are
-/// solved through the SoA lane kernels of [`bcc_core::batch`]: the
-/// snapped networks are packed into blocks by [`par_blocks`], each block
-/// solved for all four protocols at once, and the per-miss argmax
-/// replicates [`SolveCtx::solve_best`] exactly (strict `>`, earliest
-/// protocol wins ties), so decisions stay bit-identical to the serial
-/// engine. Floored
-/// or outer-bound misses keep the per-miss simplex path. Each returned
-/// [`SolvedMiss`] carries the same cost accounting as the scalar path
-/// (one kernel solve per protocol; zero simplex solves).
-fn solve_misses(threads: usize, misses: &[Query]) -> Vec<SolvedMiss> {
-    let (mut batchable, mut scalar) = (Vec::new(), Vec::new());
-    for (i, q) in misses.iter().enumerate() {
-        if SolveRequest::sum_rate(Protocol::Hbc)
-            .with_bound(q.bound)
-            .with_floor(q.floor)
-            .is_batchable()
-        {
-            batchable.push(i);
-        } else {
-            scalar.push(i);
-        }
+/// The lane kernels' answer for point `i` of a block solved for every
+/// protocol: the greatest sum rate, keeping the earliest protocol of
+/// equal values as [`SolveCtx::solve_best`](bcc_core::SolveCtx::solve_best)
+/// does, at one kernel solve per protocol.
+fn best_lane(outs: &[Vec<SolveOutcome>], i: usize) -> SolvedMiss {
+    let best = outs
+        .iter()
+        .map(|col| &col[i])
+        .reduce(|b, o| if o.value > b.value { o } else { b })
+        .expect("Protocol::ALL is non-empty");
+    SolvedMiss {
+        outcome: Ok(decided(best)),
+        degraded: None,
+        kernel_solves: outs.len() as u64,
+        lp: LpStats::zero(),
     }
-
-    let mut solved: Vec<Option<SolvedMiss>> = Vec::new();
-    solved.resize_with(misses.len(), || None);
-
-    let requests = Protocol::ALL.map(SolveRequest::sum_rate);
-    let blocks = par_blocks(threads, batchable.len(), DEFAULT_BLOCK, |solver, range| {
-        let block = solver.fill();
-        for &mi in &batchable[range.clone()] {
-            block.push_net(&misses[mi].network());
-        }
-        let outs = solver.solve(&requests)?;
-        Ok((0..range.len())
-            .map(|i| {
-                let mut best: Option<&SolveOutcome> = None;
-                for lane in outs {
-                    let out = &lane[i];
-                    if best.is_none_or(|b| out.value > b.value) {
-                        best = Some(out);
-                    }
-                }
-                let best = best.expect("Protocol::ALL is non-empty");
-                SolvedMiss {
-                    outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
-                        &best.sum_rate_solution(),
-                    ))),
-                    degraded: None,
-                    kernel_solves: Protocol::ALL.len() as u64,
-                    lp: LpStats::zero(),
-                }
-            })
-            .collect::<Vec<_>>())
-    })
-    .expect("closed-form batch solve is infallible");
-    for (&mi, miss) in batchable.iter().zip(blocks.into_iter().flatten()) {
-        solved[mi] = Some(miss);
-    }
-
-    let scalar_solved = par_map_indexed_with(threads, &scalar, SolveCtx::new, |ctx, _, &mi| {
-        solve_counted(ctx, &misses[mi])
-    });
-    for (&mi, miss) in scalar.iter().zip(scalar_solved) {
-        solved[mi] = Some(miss);
-    }
-
-    solved
-        .into_iter()
-        .map(|m| m.expect("every miss solved exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -607,6 +533,85 @@ mod tests {
             2,
             "the invalid query never reached the solver"
         );
+    }
+
+    #[test]
+    fn batch_stats_agree_with_the_answers_and_the_engine() {
+        use bcc_core::protocol::Bound;
+        let batch = [
+            q(0.2),
+            q(0.2),
+            q(0.3).with_floor(0.05, 0.05),
+            q(0.4).with_floor(30.0, 30.0),
+            q(0.4).with_floor(30.0, 30.0),
+            q(0.5).with_bound(Bound::Outer),
+            q(0.6).with_floor(f64::NAN, 0.1),
+        ];
+        let bits = |a: &Result<Decision, ServeError>| {
+            a.clone().map(|d| {
+                let durations: Vec<u64> =
+                    d.durations.as_slice().iter().map(|t| t.to_bits()).collect();
+                (
+                    d.protocol,
+                    d.sum_rate.to_bits(),
+                    d.ra.to_bits(),
+                    d.rb.to_bits(),
+                    durations,
+                    d.served_from,
+                )
+            })
+        };
+        for threads in [1, 4] {
+            let mut server = Server::new(&ServeConfig::default().threads(threads));
+            let mut engine = Engine::new(&ServeConfig::default());
+            for round in 0..2 {
+                for &query in &batch {
+                    server.submit(query).unwrap();
+                }
+                let answers = server.drain();
+                let stats = *server.last_batch();
+                let (serial, delta) = crate::stats::scoped(|| {
+                    batch
+                        .iter()
+                        .map(|query| engine.serve(query))
+                        .collect::<Vec<_>>()
+                });
+                let at = format!("threads = {threads}, round = {round}");
+                assert_eq!(answers.len(), serial.len(), "{at}");
+                for (a, s) in answers.iter().zip(&serial) {
+                    assert_eq!(bits(a), bits(s), "{at}");
+                }
+                assert_eq!(stats.queries, batch.len() as u64, "{at}");
+                let infeasible = answers
+                    .iter()
+                    .filter(|a| matches!(a, Err(ServeError::Infeasible)))
+                    .count() as u64;
+                assert_eq!(infeasible, 2, "{at}");
+                assert_eq!(stats.infeasible, infeasible, "{at}");
+                assert_eq!(
+                    (
+                        stats.cache_hits,
+                        stats.solved,
+                        stats.kernel_solves,
+                        stats.simplex_solves,
+                        stats.degraded,
+                        stats.validated_rejects
+                    ),
+                    (
+                        delta.cache_hits,
+                        delta.cache_misses,
+                        delta.kernel_solves,
+                        delta.simplex_solves,
+                        delta.degraded,
+                        delta.validated_rejects
+                    ),
+                    "{at}"
+                );
+                if round == 1 {
+                    assert_eq!((stats.solved, stats.cache_hits), (0, 6), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,15 @@
 //! bounds, and malformed queries (NaN floors), so every serve path is
 //! under fire at once. The CI chaos leg runs this file under
 //! `BCC_THREADS=1` and `BCC_THREADS=4`.
+//!
+//! A drain of at most `DEFAULT_BLOCK` unique misses is one range and
+//! solves on the calling thread at any worker count, and a 512-query
+//! drain is that small; the whole stream drained at once holds more than
+//! two blocks of unique misses, so there they fan out to spawned
+//! workers, with and without the fault plan.
 
 use bcc_channel::{ChannelState, PowerSplit};
+use bcc_core::batch::DEFAULT_BLOCK;
 use bcc_core::protocol::Bound;
 use bcc_num::faults::{FaultPlan, FaultSite};
 use bcc_serve::{
@@ -233,4 +240,47 @@ fn empty_plan_and_unbounded_budget_are_bitwise_invisible() {
         .map(fingerprint)
         .collect();
     assert_eq!(plain, guarded);
+}
+
+#[test]
+fn draining_the_whole_stream_at_once_fans_out_bit_identically() {
+    silence_injected_panics();
+    let log = stream();
+    for (label, config) in [
+        ("fault-free", ServeConfig::default()),
+        ("chaos", ServeConfig::default().faults(chaos_plan())),
+    ] {
+        let reference: Vec<String> = replay(&log, &config.threads(1), 512)
+            .iter()
+            .map(fingerprint)
+            .collect();
+        // One drain of the whole stream, with the draining thread's LP
+        // count and the drain's own serve stats.
+        let drain = |threads: usize| {
+            let config = config.queue_capacity(log.len()).threads(threads);
+            let ((answers, lp), served) = bcc_serve::stats::scoped(|| {
+                bcc_lp::stats::scoped(|| replay(&log, &config, log.len()))
+            });
+            let answers: Vec<String> = answers.iter().map(fingerprint).collect();
+            (answers, lp.solves, served)
+        };
+        let (one, lp_one, served) = drain(1);
+        let (four, lp_four, _) = drain(4);
+        assert!(
+            served.cache_misses > 2 * DEFAULT_BLOCK as u64,
+            "{label}: {} unique misses fill fewer than three ranges",
+            served.cache_misses
+        );
+        assert!(served.simplex_solves > 0, "{label}: no LP miss");
+        assert_eq!(
+            lp_one, served.simplex_solves,
+            "{label}: one worker solves on the draining thread"
+        );
+        assert!(
+            lp_four < served.simplex_solves,
+            "{label}: four workers left every LP solve on the draining thread"
+        );
+        assert_eq!(one, reference, "{label}: one drain at 1 worker diverged");
+        assert_eq!(four, reference, "{label}: one drain at 4 workers diverged");
+    }
 }

@@ -10,7 +10,10 @@
 //! through fresh servers under several configurations, and compares the
 //! streams bitwise. The CI cross-validation matrix runs this file under
 //! `BCC_THREADS=1` and `BCC_THREADS=4`, so the `threads: None` default
-//! path is exercised at both counts as well.
+//! path is exercised at both counts as well. Every drain here holds
+//! fewer than `DEFAULT_BLOCK` unique misses, so it solves on the calling
+//! thread at any worker count; `chaos_replay.rs` drains a batch wide
+//! enough to fan out to spawned workers.
 //!
 //! Two stored digests lock the log's answers (closed loop and drained)
 //! and its snapped keys to the bits they had when recorded: a change to
