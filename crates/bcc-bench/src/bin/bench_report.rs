@@ -123,6 +123,13 @@ fn tolerance() -> f64 {
 /// scheduler noise on shared CI runners).
 const REPS: usize = 3;
 
+/// Queries per timed serve drain. A drain of at most
+/// [`DEFAULT_BLOCK`](bcc_core::batch::DEFAULT_BLOCK) unique misses solves
+/// on the calling thread at any worker count, so the timed drains submit
+/// four blocks' worth of the all-miss stream to give the workers
+/// something to split.
+const WIDE_BATCH: usize = 4 * bcc_core::batch::DEFAULT_BLOCK;
+
 /// Solver-mix counters of one serial run of a scenario.
 #[derive(Clone, Copy)]
 struct SolveMix {
@@ -463,16 +470,16 @@ fn time_city(parallel_threads: usize) -> Timing {
 
 /// The serving-layer workload (E-S1): the canonical `servestudy` mixed
 /// hot-set stream through a `bcc-serve` engine, closed loop for latency
-/// quantiles and batched for drain throughput, plus the repeated-state
-/// all-hit stream. `serial_ms`/`parallel_ms` time the batched drain of
-/// the mixed stream at 1 vs `parallel_threads` workers (asserted
-/// bit-identical first); the extras carry throughput (`qps`,
+/// quantiles, plus the repeated-state all-hit stream. `serial_ms` /
+/// `parallel_ms` time batched drains of the all-miss fresh stream in
+/// [`WIDE_BATCH`]-query submissions at 1 vs `parallel_threads` workers
+/// (asserted bit-identical first); the extras carry throughput (`qps`,
 /// `repeated_qps`), latency quantiles and the cache hit counters the
 /// gate asserts on.
 fn time_serve(parallel_threads: usize) -> Timing {
     use bcc_serve::{Query, ServeConfig, ServedFrom, Server};
 
-    // One closed-loop pass, and one batched drain in `BATCH`-sized
+    // One closed-loop pass, and one batched drain in `batch`-query
     // submissions at `threads` workers.
     let serve_all = |config: &ServeConfig, queries: &[Query]| {
         let mut server = Server::new(config);
@@ -480,10 +487,10 @@ fn time_serve(parallel_threads: usize) -> Timing {
             let _ = server.serve(q);
         }
     };
-    let drain = |config: &ServeConfig, queries: &[Query], threads: usize| {
+    let drain = |config: &ServeConfig, queries: &[Query], batch: usize, threads: usize| {
         let mut server = Server::new(&config.threads(threads));
         let mut answers = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(servestudy::BATCH) {
+        for chunk in queries.chunks(batch) {
             for &q in chunk {
                 server.submit(q).expect("queue sized to the batch");
             }
@@ -493,9 +500,11 @@ fn time_serve(parallel_threads: usize) -> Timing {
     };
     let config = servestudy::config();
     let queries = servestudy::mixed_stream().queries(servestudy::MIXED_QUERIES);
+    let fresh_config = config.queue_capacity(WIDE_BATCH);
+    let fresh = servestudy::fresh_stream().queries(servestudy::MIXED_QUERIES);
     assert_eq!(
-        drain(&config, &queries, 1),
-        drain(&config, &queries, parallel_threads),
+        drain(&fresh_config, &fresh, WIDE_BATCH, 1),
+        drain(&fresh_config, &fresh, WIDE_BATCH, parallel_threads),
         "batched serve drains must be bit-identical across worker counts"
     );
 
@@ -537,17 +546,22 @@ fn time_serve(parallel_threads: usize) -> Timing {
     let chaos_queries = servestudy::chaos_stream().queries(servestudy::MIXED_QUERIES);
     let chaos_config = config.faults(servestudy::chaos_plan());
     assert_eq!(
-        drain(&chaos_config, &chaos_queries, 1),
-        drain(&chaos_config, &chaos_queries, parallel_threads),
+        drain(&chaos_config, &chaos_queries, servestudy::BATCH, 1),
+        drain(
+            &chaos_config,
+            &chaos_queries,
+            servestudy::BATCH,
+            parallel_threads
+        ),
         "injected-fault drains must be bit-identical across worker counts"
     );
     let ((), chaos_delta) = bcc_serve::stats::scoped(|| serve_all(&chaos_config, &chaos_queries));
 
     let serial_ms = best_ms(REPS, || {
-        drain(&config, &queries, 1);
+        drain(&fresh_config, &fresh, WIDE_BATCH, 1);
     });
     let parallel_ms = best_ms(REPS, || {
-        drain(&config, &queries, parallel_threads);
+        drain(&fresh_config, &fresh, WIDE_BATCH, parallel_threads);
     });
     Timing {
         name: "serve_loadgen",

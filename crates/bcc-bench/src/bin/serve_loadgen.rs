@@ -9,7 +9,8 @@
 //! serve-stats delta (hit rate, kernel vs simplex solves, evictions,
 //! degraded/shed/validated-reject counters). A second pass drains the
 //! same stream through the batched `Server` at the configured batch
-//! size for the throughput-oriented number.
+//! size and times each submit+drain: `batch_qps` is the median of the
+//! per-drain throughputs, with its quartiles beside it.
 //!
 //! With `--faults`, the run arms the canonical chaos
 //! [`FaultPlan`](bcc_num::faults::FaultPlan)
@@ -29,7 +30,7 @@
 //! ```
 //!
 //! Defaults follow `bcc_bench::servestudy` (hot-set stream, Fig. 4
-//! operating point). Writes `results/SERVE_loadgen.json` (schema 2).
+//! operating point). Writes `results/SERVE_loadgen.json` (schema 3).
 //! `-h`/`--help` prints the usage and exits 0; an unknown flag, a
 //! missing or unparsable value, an unknown stream kind, a zero count or
 //! a quantization step below `QuantSpec::MIN_STEP_DB` prints it to
@@ -225,20 +226,29 @@ fn main() {
     );
 
     // Batched drain of the same stream on a fresh server: throughput of
-    // the admission path at the configured batch size.
+    // the admission path at the configured batch size, one reading per
+    // submit+drain so the report carries a median and its spread.
     let mut batched = Server::new(&config);
-    let t0 = Instant::now();
+    let mut drain_qps = Vec::with_capacity(queries.len().div_ceil(args.batch));
     for chunk in queries.chunks(args.batch) {
+        let t0 = Instant::now();
         for &q in chunk {
             batched.submit(q).expect("queue sized to the batch");
         }
         let answers = batched.drain();
+        drain_qps.push(chunk.len() as f64 / t0.elapsed().as_secs_f64());
         assert_eq!(answers.len(), chunk.len());
     }
-    let batch_wall = t0.elapsed().as_secs_f64();
-    let batch_qps = args.queries as f64 / batch_wall;
+    let drains = drain_qps.len();
+    let drain_qps = Ecdf::new(drain_qps);
+    let (batch_q1, batch_qps, batch_q3) = (
+        drain_qps.quantile(0.25),
+        drain_qps.quantile(0.50),
+        drain_qps.quantile(0.75),
+    );
     println!(
-        "batched drain: {batch_qps:>9.0} q/s at batch {}",
+        "batched drain: {batch_qps:>9.0} q/s median of {drains} drains \
+         [q1 {batch_q1:.0}, q3 {batch_q3:.0}] at batch {}",
         args.batch
     );
 
@@ -269,9 +279,10 @@ fn main() {
         .out
         .unwrap_or_else(|| results_dir().join("SERVE_loadgen.json"));
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \"stream\": \"{}\",\n  \"faults\": {},\n  \
+        "{{\n  \"schema\": 3,\n  \"stream\": \"{}\",\n  \"faults\": {},\n  \
          \"queries\": {},\n  \
-         \"qps\": {:.1},\n  \"batch_qps\": {:.1},\n  \"p50_us\": {:.3},\n  \
+         \"qps\": {:.1},\n  \"batch_qps\": {:.1},\n  \"batch_qps_q1\": {:.1},\n  \
+         \"batch_qps_q3\": {:.1},\n  \"p50_us\": {:.3},\n  \
          \"p99_us\": {:.3},\n  \"p999_us\": {:.3},\n  \"hit_rate\": {:.4},\n  \
          \"cache_hits\": {},\n  \"kernel_solves\": {},\n  \"simplex_solves\": {},\n  \
          \"evictions\": {},\n  \"degraded\": {},\n  \"shed\": {},\n  \
@@ -281,6 +292,8 @@ fn main() {
         args.queries,
         qps,
         batch_qps,
+        batch_q1,
+        batch_q3,
         p50,
         p99,
         p999,

@@ -65,7 +65,7 @@
 
 use crate::error::CoreError;
 use crate::kernel::{BlockSolver, SolveRequest};
-use crate::protocol::Protocol;
+use crate::protocol::{protocol_set, Protocol};
 use bcc_channel::{PowerSplit, Topology};
 use bcc_num::par;
 use bcc_num::seed::mix_seed;
@@ -255,11 +255,10 @@ impl CityScenario {
     ///
     /// # Panics
     ///
-    /// Panics if `protocols` is empty or contains a non-batchable
-    /// request.
+    /// Panics if `protocols` is empty, contains duplicates or contains a
+    /// non-batchable request.
     pub fn protocols(mut self, protocols: impl IntoIterator<Item = Protocol>) -> Self {
-        self.protocols = protocols.into_iter().collect();
-        assert!(!self.protocols.is_empty(), "need at least one protocol");
+        self.protocols = protocol_set(protocols);
         for &p in &self.protocols {
             assert!(
                 SolveRequest::sum_rate(p).is_batchable(),
@@ -714,6 +713,13 @@ mod tests {
                 assert!(r.scheduled_rate(kind, s).is_finite());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate protocol MABC")]
+    fn protocols_reject_duplicates() {
+        let topo = Topology::random(5, 10, 2, 6.0, 3.0).unwrap();
+        let _ = Scenario::city(topo, 8.0).protocols([Protocol::Mabc, Protocol::Mabc]);
     }
 
     #[test]

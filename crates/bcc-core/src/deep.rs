@@ -41,6 +41,7 @@
 //! [`FadingModel::sample_power_tilted`]: bcc_channel::fading::FadingModel::sample_power_tilted
 //! [`WeightedTailStats`]: bcc_num::stats::WeightedTailStats
 
+use crate::dmt::diversity_fit;
 use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
 use crate::kernel::{BlockSolver, SolveCtx, SolveRequest};
@@ -59,10 +60,11 @@ const MIN_TILT: f64 = 1e-9;
 const TILT_BISECT_ITERS: u32 = 60;
 
 /// How [`Evaluator::deep_outage`] picks the per-link tilt means.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TiltSelect {
     /// Per-cell automatic selection (bisection + per-link relevance
     /// probes) — the default.
+    #[default]
     Auto,
     /// A fixed `(ab, ar, br)` tilt applied to every cell. `[1.0; 3]`
     /// reproduces plain Monte-Carlo exactly (identity tilt, all weights
@@ -71,55 +73,18 @@ pub enum TiltSelect {
 }
 
 /// Configuration of a deep-outage run (see [`Evaluator::deep_outage`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Every cell samples the scenario's fading trial count, and every tilted
+/// link mixes in the defensive mass [`PowerTilt::DEFAULT_ALPHA`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeepSpec {
-    trials: Option<usize>,
-    alpha: f64,
     tilt: TiltSelect,
     force_sampling: bool,
 }
 
-impl Default for DeepSpec {
-    fn default() -> Self {
-        DeepSpec {
-            trials: None,
-            alpha: PowerTilt::DEFAULT_ALPHA,
-            tilt: TiltSelect::Auto,
-            force_sampling: false,
-        }
-    }
-}
-
 impl DeepSpec {
-    /// The default spec: scenario trial count, automatic tilts, defensive
-    /// mass [`PowerTilt::DEFAULT_ALPHA`], exact fast path enabled.
+    /// The default spec: automatic tilts, exact fast path enabled.
     pub fn new() -> Self {
         DeepSpec::default()
-    }
-
-    /// Overrides the scenario's fading trial count for the deep study.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero.
-    pub fn trials(mut self, trials: usize) -> Self {
-        assert!(trials > 0, "need at least one deep-outage trial");
-        self.trials = Some(trials);
-        self
-    }
-
-    /// Sets the defensive mixture mass `α ∈ (0, 1]` of every tilted link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "defensive mass must lie in (0, 1], got {alpha}"
-        );
-        self.alpha = alpha;
-        self
     }
 
     /// Forces the fixed `(ab, ar, br)` tilt means instead of automatic
@@ -267,27 +232,7 @@ impl DeepOutageResult {
     /// out of range.
     pub fn diversity_fit(&self, protocol: Protocol, gain_idx: usize) -> Option<f64> {
         let row = &self.cells.get(protocol).expect("protocol evaluated")[gain_idx];
-        let pts: Vec<(f64, f64)> = self
-            .snrs
-            .iter()
-            .zip(row.iter())
-            .filter_map(|(&s, c)| match c.probability {
-                Some(p) if p > 0.0 => Some((s.ln(), p.ln())),
-                _ => None,
-            })
-            .collect();
-        if pts.len() < 2 {
-            return None;
-        }
-        let n = pts.len() as f64;
-        let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
-        let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
-        let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
-        if sxx == 0.0 {
-            return None;
-        }
-        let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-        Some(-sxy / sxx)
+        diversity_fit(&self.snrs, row.iter().map(|c| c.probability.unwrap_or(0.0)))
     }
 }
 
@@ -414,21 +359,8 @@ impl Evaluator {
              (Rayleigh or Nakagami-m), got {:?}",
             spec.model
         );
-        let gains = sc.multiplexing_gains.clone();
-        assert!(
-            !gains.is_empty(),
-            "scenario has no multiplexing gains; attach them with Scenario::multiplexing_gains(...)"
-        );
-        assert!(
-            gains.iter().all(|&g| g > 0.0),
-            "deep-outage multiplexing gains must be positive"
-        );
-        let snrs: Vec<f64> = sc.points.iter().map(|p| p.net.reference_snr()).collect();
-        assert!(
-            snrs.iter().all(|&s| s > 0.0),
-            "every grid point needs a positive reference SNR for deep-outage estimation"
-        );
-        let trials = deep.trials.unwrap_or(spec.trials);
+        let (gains, snrs) = sc.gain_grid("deep-outage");
+        let trials = spec.trials;
         let protocols = sc.protocols.clone();
         let npoints = sc.points.len();
         let ngains = gains.len();
@@ -471,7 +403,7 @@ impl Evaluator {
                         if t >= 1.0 {
                             PowerTilt::NONE
                         } else {
-                            PowerTilt::new(t, deep.alpha)
+                            PowerTilt::toward(t)
                         }
                     });
                     plans.push(CellPlan {

@@ -22,17 +22,20 @@
 //! [`AllocationResult`]), with common random fades across candidate
 //! splits so the search surface is deterministic and smooth.
 //!
-//! Both entry points reuse the scenario engine wholesale: the Monte-Carlo
-//! fan-out is the same deterministic `point × trial` grid as
-//! [`Evaluator::outage`] (bit-identical at every worker count), and every
-//! faded operating point is solved by the same LP bounds as the rest of
-//! the workspace.
+//! Both entry points reuse the scenario engine wholesale: [`Evaluator::dmt`]
+//! reduces the samples of one [`Evaluator::outage`] run, the allocation
+//! search scores its splits on the per-trial fade streams of a
+//! single-point outage run (both bit-identical at every worker count), and
+//! every faded operating point is solved by the same bounds as the rest
+//! of the workspace.
 
 use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
 use crate::kernel::SolveCtx;
 use crate::protocol::{Protocol, ProtocolMap};
-use crate::scenario::{fading_study, trial_stream, Evaluator, FadingSpec};
+use crate::scenario::{
+    fading_study, outage_fraction, trial_stream, Evaluator, FadingSpec, Scenario,
+};
 use bcc_channel::PowerSplit;
 use bcc_num::optim::golden_section_max;
 use bcc_num::special::log2_1p;
@@ -174,27 +177,34 @@ impl DmtResult {
     /// Panics if `protocol` was not part of the scenario or the index is
     /// out of range.
     pub fn diversity_fit(&self, protocol: Protocol, gain_idx: usize) -> Option<f64> {
-        let probs = self.outage(protocol, gain_idx);
-        let pts: Vec<(f64, f64)> = self
-            .snrs
-            .iter()
-            .zip(probs)
-            .filter(|&(_, &p)| p > 0.0)
-            .map(|(&s, &p)| (s.ln(), p.ln()))
-            .collect();
-        if pts.len() < 2 {
-            return None;
-        }
-        let n = pts.len() as f64;
-        let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
-        let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
-        let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
-        if sxx == 0.0 {
-            return None;
-        }
-        let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-        Some(-sxy / sxx)
+        diversity_fit(&self.snrs, self.outage(protocol, gain_idx).iter().copied())
     }
+}
+
+/// The least-squares slope of `−ln p` against `ln snr` over the grid
+/// points whose outage probability `p` is positive: the finite-SNR
+/// diversity fit of both [`DmtResult`] and
+/// [`DeepOutageResult`](crate::deep::DeepOutageResult). `None` with
+/// fewer than two such points or no spread in their SNRs.
+pub(crate) fn diversity_fit(snrs: &[f64], probs: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let pts: Vec<(f64, f64)> = snrs
+        .iter()
+        .zip(probs)
+        .filter(|&(_, p)| p > 0.0)
+        .map(|(&s, p)| (s.ln(), p.ln()))
+        .collect();
+    if pts.len() < 2 {
+        return None;
+    }
+    let n = pts.len() as f64;
+    let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
+    if sxx == 0.0 {
+        return None;
+    }
+    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    Some(-sxy / sxx)
 }
 
 /// One protocol's entry of an [`AllocationResult`]: the outage-optimal
@@ -270,6 +280,30 @@ impl AllocationResult {
     }
 }
 
+impl Scenario {
+    /// The multiplexing gains and the per-point reference SNRs of a
+    /// finite-SNR outage study ([`Evaluator::dmt`],
+    /// [`Evaluator::deep_outage`]); `study` names it in the panic
+    /// messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario has no multiplexing gains or a grid point
+    /// has a non-positive reference SNR.
+    pub(crate) fn gain_grid(&self, study: &str) -> (Vec<f64>, Vec<f64>) {
+        assert!(
+            !self.multiplexing_gains.is_empty(),
+            "scenario has no multiplexing gains; attach them with Scenario::multiplexing_gains(...)"
+        );
+        let snrs: Vec<f64> = self.points.iter().map(|p| p.net.reference_snr()).collect();
+        assert!(
+            snrs.iter().all(|&s| s > 0.0),
+            "every grid point needs a positive reference SNR for {study} estimation"
+        );
+        (self.multiplexing_gains.clone(), snrs)
+    }
+}
+
 impl Evaluator {
     /// Estimates the finite-SNR diversity–multiplexing tradeoff over the
     /// scenario's grid: at each grid point (reference SNR `ρ`) and each
@@ -277,9 +311,9 @@ impl Evaluator {
     /// optimal sum rate against the target `r·log2(1 + ρ)`, plus the
     /// log–log diversity slopes across the SNR axis.
     ///
-    /// The Monte-Carlo samples are drawn exactly as in
-    /// [`Evaluator::outage`] — one draw serves every multiplexing gain,
-    /// and results are bit-identical at any worker count.
+    /// The outage probabilities reduce the samples of one
+    /// [`Evaluator::outage`] run, so one draw serves every multiplexing
+    /// gain and results are bit-identical at any worker count.
     ///
     /// # Errors
     ///
@@ -292,41 +326,23 @@ impl Evaluator {
     ///
     /// Panics if the scenario has no fading spec or no multiplexing
     /// gains, carries a rate floor or the outer bound (see
-    /// [`Scenario::bound`](crate::scenario::Scenario::bound)), or if any
-    /// grid point has a zero reference SNR (its log-SNR coordinate would
-    /// be undefined).
+    /// [`Scenario::bound`]), or if any grid point has a zero reference SNR
+    /// (its log-SNR coordinate would be undefined).
     pub fn dmt(&mut self) -> Result<DmtResult, CoreError> {
-        let gains = self.scenario.multiplexing_gains.clone();
-        assert!(
-            !gains.is_empty(),
-            "scenario has no multiplexing gains; attach them with Scenario::multiplexing_gains(...)"
-        );
-        let snrs: Vec<f64> = self
-            .scenario
-            .points
-            .iter()
-            .map(|p| p.net.reference_snr())
-            .collect();
-        assert!(
-            snrs.iter().all(|&s| s > 0.0),
-            "every grid point needs a positive reference SNR for DMT estimation"
-        );
-        let (spec, samples) = self.fading_sum_rate_samples();
-        let sc = &self.scenario;
-
+        let (gains, snrs) = self.scenario.gain_grid("DMT");
+        let out = self.outage()?;
         let mut outage: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
         let mut diversity: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
-        for &p in &sc.protocols {
-            let per_point = samples.get(p).expect("sampled");
+        for &p in out.protocols() {
             let mut out_rows = Vec::with_capacity(gains.len());
             let mut div_rows = Vec::with_capacity(gains.len());
             for &r in &gains {
-                let probs: Vec<f64> = per_point
+                // Targets are positive, so an unresolved cell is a 0.
+                let probs: Vec<f64> = snrs
                     .iter()
-                    .zip(&snrs)
-                    .map(|(trials, &snr)| {
-                        let target = r * log2_1p(snr);
-                        trials.iter().filter(|&&v| v < target).count() as f64 / trials.len() as f64
+                    .enumerate()
+                    .map(|(i, &snr)| {
+                        outage_fraction(out.samples(p, i), r * log2_1p(snr)).unwrap_or(0.0)
                     })
                     .collect();
                 div_rows.push(log_log_slopes(&snrs, &probs));
@@ -336,11 +352,11 @@ impl Evaluator {
             diversity.insert(p, div_rows);
         }
         Ok(DmtResult {
-            x_name: sc.x_name.clone(),
+            protocols: out.protocols().to_vec(),
+            x_name: out.x_name,
             snrs,
             gains,
-            spec,
-            protocols: sc.protocols.clone(),
+            spec: out.spec,
             outage,
             diversity,
         })

@@ -70,8 +70,9 @@
 //! networks, so one driver serves them all: a [`BlockSolver`] per worker
 //! (a `SolveCtx`, a [`PointBlock`] and one outcome column per request),
 //! and [`par_blocks`] to fan block-sized index ranges across workers.
-//! The single- and multi-pair sweeps, the fade sampler both evaluators
-//! share and `bcc-serve`'s drain use `par_blocks`; the city sweep and
+//! The single- and multi-pair sweeps, the fade sampler behind
+//! `Evaluator::outage` (which the DMT and multi-pair outage studies
+//! reduce) and `bcc-serve`'s drain use `par_blocks`; the city sweep and
 //! the deep-outage sampler keep their own job index and use
 //! `BlockSolver` directly.
 

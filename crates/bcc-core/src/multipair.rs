@@ -77,8 +77,8 @@ use crate::error::CoreError;
 use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::kernel::{par_blocks, SolveOutcome, SolveRequest};
 use crate::optimizer::SchedulePoint;
-use crate::protocol::{Bound, Protocol, ProtocolMap};
-use crate::scenario::{fading_samples, fading_study, FadingSpec, Scenario};
+use crate::protocol::{protocol_set, Bound, Protocol, ProtocolMap};
+use crate::scenario::{outage_fraction, FadingSpec, OutageResult, Scenario};
 use bcc_channel::fading::FadingModel;
 use bcc_num::Db;
 
@@ -296,13 +296,7 @@ impl MultiPairScenario {
     ///
     /// Panics if `protocols` is empty or contains duplicates.
     pub fn protocols(mut self, protocols: impl IntoIterator<Item = Protocol>) -> Self {
-        let protocols: Vec<Protocol> = protocols.into_iter().collect();
-        assert!(!protocols.is_empty(), "need at least one protocol");
-        let mut seen = ProtocolMap::new();
-        for &p in &protocols {
-            assert!(seen.insert(p, ()).is_none(), "duplicate protocol {p}");
-        }
-        self.protocols = protocols;
+        self.protocols = protocol_set(protocols);
         self
     }
 
@@ -472,15 +466,14 @@ impl MultiPairEvaluator {
     /// trial, one i.i.d. fade per link **per pair** (each pair drawing
     /// from its own decorrelated stream of the master seed, all
     /// protocols sharing a trial's fades), then every pair's optimal sum
-    /// rate under each protocol on the faded networks. The draws come
-    /// from the single-pair evaluator's own sampler over the
-    /// `point * K + pair` network list, so the result is bit-identical at
-    /// any worker count, and for `K = 1` bitwise equal to
-    /// [`Evaluator::outage`](crate::scenario::Evaluator::outage).
+    /// rate under each protocol on the faded networks.
     ///
-    /// No LP runs on a faded draw: the sampler solves every draw with the
-    /// closed-form inner-bound kernels, which cannot fail (it `expect`s
-    /// them to succeed).
+    /// This is [`Evaluator::outage`](crate::scenario::Evaluator::outage)
+    /// on a single-pair grid of the `point × pair` networks, listed as
+    /// `point * K + pair`, with this scenario's protocols, bound, fading
+    /// spec and worker count. At `K = 1` that grid is the single-pair
+    /// grid, so the result is bitwise equal to the single-pair outage by
+    /// construction, and it is bit-identical at any worker count.
     ///
     /// # Errors
     ///
@@ -494,23 +487,22 @@ impl MultiPairEvaluator {
     /// [`MultiPairScenario::bound`]).
     pub fn outage(&mut self) -> Result<MultiPairOutage, CoreError> {
         let sc = &self.scenario;
-        let spec = fading_study(sc.fading, sc.bound, false);
-        let nets: Vec<GaussianNetwork> =
-            sc.points.iter().flat_map(|p| p.1.iter().copied()).collect();
-        let samples = fading_samples(
-            self.thread_count(),
-            &nets,
-            &sc.protocols,
-            &spec,
-            DEFAULT_BLOCK,
-        );
+        let nets = sc
+            .points
+            .iter()
+            .flat_map(|(x, ps)| ps.iter().map(move |&net| (*x, net)));
+        let mut grid = Scenario::networks(sc.x_name.clone(), nets)
+            .protocols(sc.protocols.iter().copied())
+            .bound(sc.bound)
+            .threads(self.thread_count());
+        grid.fading = sc.fading;
+        let outage = grid.build().outage()?;
         Ok(MultiPairOutage {
             x_name: sc.x_name.clone(),
             xs: sc.points.iter().map(|p| p.0).collect(),
             k: sc.k,
-            spec,
-            protocols: sc.protocols.clone(),
-            samples,
+            spec: outage.spec,
+            outage,
         })
     }
 }
@@ -658,10 +650,11 @@ impl MultiPairResult {
 /// per-(grid point, pair) Monte-Carlo sum-rate samples under
 /// quasi-static fading, with per-trial schedule aggregates.
 ///
-/// Fair-rate (max–min) statistics are a deterministic-sweep quantity
+/// It keeps the single-pair [`OutageResult`] of the `point * K + pair`
+/// networks and reads every sample from it. Fair-rate (max–min)
+/// statistics are a deterministic-sweep quantity
 /// ([`MultiPairResult::fair_rate`]); the fading study tracks the
-/// sum-rate metrics, mirroring the single-pair
-/// [`OutageResult`](crate::scenario::OutageResult).
+/// sum-rate metrics, as the single-pair study does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiPairOutage {
     /// Human-readable name of the swept parameter.
@@ -671,9 +664,8 @@ pub struct MultiPairOutage {
     k: usize,
     /// The fading specification the samples were drawn under.
     pub spec: FadingSpec,
-    protocols: Vec<Protocol>,
-    /// `samples[protocol][point * K + pair][trial]`.
-    samples: ProtocolMap<Vec<Vec<f64>>>,
+    /// The single-pair outage over the `point * K + pair` networks.
+    outage: OutageResult,
 }
 
 impl MultiPairOutage {
@@ -684,7 +676,7 @@ impl MultiPairOutage {
 
     /// The protocols evaluated, in evaluation order.
     pub fn protocols(&self) -> &[Protocol] {
-        &self.protocols
+        self.outage.protocols()
     }
 
     /// The raw per-trial sum rates of `(protocol, pair)` at grid point
@@ -700,11 +692,7 @@ impl MultiPairOutage {
             "pair index {pair} out of range (K = {})",
             self.k
         );
-        &self
-            .samples
-            .get(protocol)
-            .unwrap_or_else(|| panic!("{protocol} was not part of the scenario"))
-            [point * self.k + pair]
+        self.outage.samples(protocol, point * self.k + pair)
     }
 
     /// Per-trial network sum rates of `protocol` at grid point `point`
@@ -742,16 +730,7 @@ impl MultiPairOutage {
         schedule: Schedule,
         target: f64,
     ) -> Option<f64> {
-        if target <= 0.0 {
-            return Some(0.0);
-        }
-        let s = self.schedule_samples(protocol, point, schedule);
-        let hits = s.iter().filter(|&&v| v < target).count();
-        if hits == 0 {
-            None
-        } else {
-            Some(hits as f64 / s.len() as f64)
-        }
+        outage_fraction(&self.schedule_samples(protocol, point, schedule), target)
     }
 
     /// Ergodic (fading-averaged) schedule sum rate of `protocol` at grid

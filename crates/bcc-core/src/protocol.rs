@@ -215,6 +215,23 @@ impl<T> ProtocolMap<T> {
     }
 }
 
+/// `protocols` as a list, checked the way every scenario builder checks
+/// its protocol set: non-empty, and no protocol named twice (a duplicate
+/// would solve every point twice).
+///
+/// # Panics
+///
+/// Panics if `protocols` is empty or contains duplicates.
+pub(crate) fn protocol_set(protocols: impl IntoIterator<Item = Protocol>) -> Vec<Protocol> {
+    let protocols: Vec<Protocol> = protocols.into_iter().collect();
+    assert!(!protocols.is_empty(), "need at least one protocol");
+    let mut seen = ProtocolMap::new();
+    for &p in &protocols {
+        assert!(seen.insert(p, ()).is_none(), "duplicate protocol {p}");
+    }
+    protocols
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,7 @@
 use crate::error::CoreError;
 use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::kernel::{par_blocks, SolveCtx, SolveRequest};
-use crate::protocol::{Bound, Protocol, ProtocolMap};
+use crate::protocol::{protocol_set, Bound, Protocol, ProtocolMap};
 use crate::region::{RatePoint, RateRegion};
 use bcc_channel::fading::FadingModel;
 use bcc_channel::topology::LineNetwork;
@@ -282,13 +282,7 @@ impl Scenario {
     ///
     /// Panics if `protocols` is empty or contains duplicates.
     pub fn protocols(mut self, protocols: impl IntoIterator<Item = Protocol>) -> Self {
-        let protocols: Vec<Protocol> = protocols.into_iter().collect();
-        assert!(!protocols.is_empty(), "need at least one protocol");
-        let mut seen = ProtocolMap::new();
-        for &p in &protocols {
-            assert!(seen.insert(p, ()).is_none(), "duplicate protocol {p}");
-        }
-        self.protocols = protocols;
+        self.protocols = protocol_set(protocols);
         self
     }
 
@@ -769,6 +763,11 @@ impl Evaluator {
     /// relations survive into the samples), then the optimal sum rate of
     /// each protocol on the faded network.
     ///
+    /// This is the one entry to the fade sampler: [`Evaluator::dmt`]
+    /// reduces its samples, and the multi-pair
+    /// [`outage`](crate::multipair::MultiPairEvaluator::outage) runs it on
+    /// the flattened `point × pair` network grid.
+    ///
     /// Grid points use decorrelated seed streams derived from the spec's
     /// master seed; a single-point scenario reproduces the classic
     /// `McConfig`-style stream of `trial_stream(seed, trial)` exactly.
@@ -784,8 +783,16 @@ impl Evaluator {
     /// [`Scenario::fading`]), or carries a rate floor or the outer bound
     /// (see [`Scenario::bound`]).
     pub fn outage(&mut self) -> Result<OutageResult, CoreError> {
-        let (spec, samples) = self.fading_sum_rate_samples();
         let sc = &self.scenario;
+        let spec = fading_study(sc.fading, sc.bound, sc.rate_floor.is_some());
+        // Sample (and free `nets`) before allocating the result's fields:
+        // with those small allocations first, perfbench's `fading_outage`
+        // read a slightly higher peak RSS.
+        let samples = {
+            let nets: Vec<GaussianNetwork> = sc.points.iter().map(|p| p.net).collect();
+            let block = sc.effective_block_size();
+            fading_samples(self.thread_count(), &nets, &sc.protocols, &spec, block)
+        };
         Ok(OutageResult {
             x_name: sc.x_name.clone(),
             xs: sc.points.iter().map(|p| p.x).collect(),
@@ -793,18 +800,6 @@ impl Evaluator {
             protocols: sc.protocols.clone(),
             samples,
         })
-    }
-
-    /// The shared Monte-Carlo core of [`Evaluator::outage`] and
-    /// [`Evaluator::dmt`]: [`fading_samples`] over the grid's networks.
-    /// Returns `samples[protocol][point][trial]`.
-    pub(crate) fn fading_sum_rate_samples(&self) -> (FadingSpec, ProtocolMap<Vec<Vec<f64>>>) {
-        let sc = &self.scenario;
-        let spec = fading_study(sc.fading, sc.bound, sc.rate_floor.is_some());
-        let nets: Vec<GaussianNetwork> = sc.points.iter().map(|p| p.net).collect();
-        let block = sc.effective_block_size();
-        let samples = fading_samples(self.thread_count(), &nets, &sc.protocols, &spec, block);
-        (spec, samples)
     }
 }
 
@@ -826,22 +821,21 @@ pub(crate) fn fading_study(spec: Option<FadingSpec>, bound: Bound, floored: bool
     spec.expect("scenario has no fading model; attach one with fading(...)")
 }
 
-/// The fade sampler of both evaluators: per network and trial, one
-/// i.i.d. fade per link (shared across protocols, so per-fade dominance
-/// relations survive into the samples), then every protocol's optimal
-/// sum rate on the faded network. Returns `samples[protocol][net][trial]`.
+/// The fade sampler behind [`Evaluator::outage`], its only caller: per
+/// network and trial, one i.i.d. fade per link (shared across protocols,
+/// so per-fade dominance relations survive into the samples), then every
+/// protocol's optimal sum rate on the faded network. Returns
+/// `samples[protocol][net][trial]`.
 ///
 /// Network `i` draws trial `t` from `trial_stream(seed_i, t)`, where a
 /// lone network keeps the master seed (the classic `McConfig` stream)
-/// and otherwise `seed_i = mix_seed(seed, i)`. The multi-pair evaluator
-/// lists its networks as `point * K + pair`, which at `K = 1` is the
-/// single-pair grid, so the two reduce to the same draws.
+/// and otherwise `seed_i = mix_seed(seed, i)`.
 ///
 /// The `net × trial` grid is fanned out by [`par_blocks`]; each draw is
 /// independent of its blockmates, so the samples are bit-identical at
 /// any block size or thread count. Fading always solves the
 /// unconstrained inner optimum, so every draw takes the lane kernels.
-pub(crate) fn fading_samples(
+fn fading_samples(
     threads: usize,
     nets: &[GaussianNetwork],
     protocols: &[Protocol],
@@ -1176,7 +1170,8 @@ impl OutageResult {
     /// Panics if `protocol` was not part of the scenario or `i` is out of
     /// range.
     pub fn samples(&self, protocol: Protocol, i: usize) -> &[f64] {
-        &self.samples.get(protocol).expect("protocol evaluated")[i]
+        let per_point = self.samples.get(protocol);
+        &per_point.unwrap_or_else(|| panic!("{protocol} was not part of the scenario"))[i]
     }
 
     /// Consumes the result, returning `protocol`'s per-grid-point sample
@@ -1251,17 +1246,21 @@ impl OutageResult {
     /// evaluator resolves those cells). A non-positive target resolves to
     /// `Some(0.0)` exactly.
     pub fn outage_probability(&self, protocol: Protocol, i: usize, target: f64) -> Option<f64> {
-        if target <= 0.0 {
-            return Some(0.0);
-        }
-        let s = self.samples(protocol, i);
-        let hits = s.iter().filter(|&&v| v < target).count();
-        if hits == 0 {
-            None
-        } else {
-            Some(hits as f64 / s.len() as f64)
-        }
+        outage_fraction(self.samples(protocol, i), target)
     }
+}
+
+/// The fraction of `samples` below `target`: the outage-probability
+/// estimate of every fading study. `None` means **unresolved** (no sample
+/// fell below a positive target, so the estimate sits under the
+/// `1/samples.len()` floor); a non-positive target resolves to `Some(0.0)`
+/// exactly.
+pub(crate) fn outage_fraction(samples: &[f64], target: f64) -> Option<f64> {
+    if target <= 0.0 {
+        return Some(0.0);
+    }
+    let hits = samples.iter().filter(|&&v| v < target).count();
+    (hits > 0).then(|| hits as f64 / samples.len() as f64)
 }
 
 #[cfg(test)]
